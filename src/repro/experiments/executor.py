@@ -24,6 +24,16 @@ and returns their results in the same order.  Three layers cooperate:
   drained by heartbeating workers anywhere the server is reachable
   (``python -m repro.experiments worker --addr HOST:PORT``).
 
+Both queue backends share one drain loop.  It takes the queue's
+completion-feed cursor, submits, and then waits on
+:meth:`~repro.experiments.queue.WorkQueue.completed_since` (a
+``COMPLETED_SINCE`` long-poll on the socket backend), fetching the
+entries of exactly the keys that finished — a drain costs about one
+request per job, not one per outstanding key per pass.  Between waits
+it rejects and resubmits tampered entries, requeues the claims of
+spawned workers that died, polices leases on the directory backend
+(the queue server runs its own sweep), and enforces the deadline.
+
 Whatever the backend, jobs are submitted **largest-estimated-cost
 first** (:func:`~repro.experiments.cost.order_by_cost`, calibrated from
 the runtimes stamped into cache entries), which bounds the idle tail of
@@ -67,6 +77,10 @@ logger = logging.getLogger(__name__)
 
 #: The execution backends a suite can run jobs on.
 BACKENDS = ("serial", "parallel", "distributed", "socket")
+
+#: Longest single wait on the completion feed: between waits the drain
+#: reaps dead workers, polices leases and checks its deadline.
+_FEED_WAIT_S = 1.0
 
 
 @dataclass
@@ -392,7 +406,7 @@ class ExperimentSuite:
 
         External workers (``spawn_workers=False`` or other machines) are
         invisible here; their crashes are covered by the lease —
-        :meth:`DirectoryQueue.requeue_stale` runs every poll iteration.
+        :meth:`DirectoryQueue.requeue_stale` runs between feed waits.
         """
         alive = []
         for proc, worker_id in self._worker_procs:
@@ -412,9 +426,12 @@ class ExperimentSuite:
 
     def _run_distributed(self, ordered: list[ExperimentJob]) -> dict:
         queue = self._ensure_queue()
-        outstanding: dict[str, ExperimentJob] = {}
-        for key, job in zip(queue.submit_many(ordered), ordered):
-            outstanding[key] = job
+        if not self.spawn_workers:
+            self._raise_recorded_failures(queue, ordered)
+        # Every key submitted below appears on the feed after this cursor:
+        # it completes or fails later, or submit re-announces its result.
+        cursor, _ = queue.completed_since(None)
+        outstanding = dict(zip(queue.submit_many(ordered), ordered))
         self._ensure_workers(queue)
 
         gathered: dict[ExperimentJob, tuple] = {}
@@ -422,41 +439,43 @@ class ExperimentSuite:
                     else time.monotonic() + self.timeout_s)
         last_warning = time.monotonic()
         while outstanding:
+            wait_s = _FEED_WAIT_S if deadline is None else max(
+                0.0, min(_FEED_WAIT_S, deadline - time.monotonic()))
+            cursor, done = queue.completed_since(cursor, wait_s)
             progressed = False
-            for key in list(outstanding):
+            for key, outcome in done:
+                job = outstanding.get(key)
+                if job is None:
+                    continue                     # not ours, or gathered
+                if outcome == "failure":
+                    failure = queue.failure(key)
+                    if failure is not None:
+                        raise _job_failed(key, failure)
+                    continue                     # superseded by a retry
                 entry = queue.result_entry(key)
-                if entry is not None:
-                    job = outstanding[key]
-                    if entry.get("scenario_hash") \
-                            != job.scenario.content_hash():
-                        # Same contract as ResultStore.get: a tampered
-                        # entry (here: pre-existing in a shared queue,
-                        # since submit() skips already-completed keys) is
-                        # rejected with a log line and re-executed.
-                        store = getattr(queue, "results", None)
-                        logger.warning(
-                            "rejecting tampered cache entry %s: stamped "
-                            "scenario hash %s does not match the job's "
-                            "scenario %s (written at git rev %s); "
-                            "recomputing",
-                            store.locate(key) if store is not None else key,
-                            entry.get("scenario_hash"),
-                            job.scenario.content_hash(),
-                            entry.get("git_rev", "unknown"))
-                        queue.invalidate(key)
-                        queue.submit(job)
-                        continue
-                    gathered[outstanding.pop(key)] = (
-                        entry.get("result"), entry.get("runtime_s"))
-                    progressed = True
+                if entry is None:
+                    continue                     # invalidated since
+                if entry.get("scenario_hash") != job.scenario.content_hash():
+                    # Same contract as ResultStore.get: a tampered entry
+                    # (here: pre-existing in a shared queue, which
+                    # submit() announces instead of re-running) is
+                    # rejected with a log line and re-executed.
+                    store = getattr(queue, "results", None)
+                    logger.warning(
+                        "rejecting tampered cache entry %s: stamped "
+                        "scenario hash %s does not match the job's "
+                        "scenario %s (written at git rev %s); "
+                        "recomputing",
+                        store.locate(key) if store is not None else key,
+                        entry.get("scenario_hash"),
+                        job.scenario.content_hash(),
+                        entry.get("git_rev", "unknown"))
+                    queue.invalidate(key)
+                    queue.submit(job)
                     continue
-                failure = queue.failure(key)
-                if failure is not None:
-                    raise RuntimeError(
-                        f"distributed job {key[:12]} failed on worker "
-                        f"{failure.get('worker', '?')}: "
-                        f"{failure.get('error', '?')}\n"
-                        f"{failure.get('traceback', '')}")
+                gathered[outstanding.pop(key)] = (
+                    entry.get("result"), entry.get("runtime_s"))
+                progressed = True
             if not outstanding:
                 break
             self._reap_dead_workers(queue)
@@ -466,30 +485,56 @@ class ExperimentSuite:
                 # backstop); only the directory transport needs the
                 # submitter to police leases.
                 queue.requeue_stale(self.lease_s)
-            if not progressed:
-                if deadline is not None and time.monotonic() > deadline:
-                    where = (queue.root if self.backend == "distributed"
-                             else queue.addr)
-                    raise TimeoutError(
-                        f"{self.backend} backend timed out after "
-                        f"{self.timeout_s:g}s with {len(outstanding)} job(s) "
-                        f"outstanding in {where}")
-                if not self._worker_procs \
-                        and time.monotonic() - last_warning > 30.0:
-                    # No spawned workers to watch (spawn_workers=False):
-                    # an external fleet may simply not be up yet, but
-                    # don't hang silently.
-                    last_warning = time.monotonic()
-                    start_hint = (f"--queue {queue.root}"
-                                  if self.backend == "distributed"
-                                  else f"--addr {queue.addr}")
-                    logger.warning(
-                        "%s backend waiting on %d job(s) with no spawned "
-                        "workers; start one with 'python -m "
-                        "repro.experiments worker %s'",
-                        self.backend, len(outstanding), start_hint)
-                time.sleep(0.05)
+            if progressed:
+                continue
+            if deadline is not None and time.monotonic() >= deadline:
+                where = (queue.root if self.backend == "distributed"
+                         else queue.addr)
+                raise TimeoutError(
+                    f"{self.backend} backend timed out after "
+                    f"{self.timeout_s:g}s with {len(outstanding)} job(s) "
+                    f"outstanding in {where}")
+            if not self._worker_procs \
+                    and time.monotonic() - last_warning > 30.0:
+                # No spawned workers to watch (spawn_workers=False):
+                # an external fleet may simply not be up yet, but
+                # don't hang silently.
+                last_warning = time.monotonic()
+                start_hint = (f"--queue {queue.root}"
+                              if self.backend == "distributed"
+                              else f"--addr {queue.addr}")
+                logger.warning(
+                    "%s backend waiting on %d job(s) with no spawned "
+                    "workers; start one with 'python -m "
+                    "repro.experiments worker %s'",
+                    self.backend, len(outstanding), start_hint)
         return gathered
+
+    @staticmethod
+    def _raise_recorded_failures(queue, jobs: list[ExperimentJob]) -> None:
+        """Report a failure an external fleet already recorded for one of
+        ``jobs``.
+
+        Submitting a failed key retries it (the queue drops the marker),
+        which is right when the suite runs workers of its own.  A suite
+        that spawns none leaves retries to whoever runs the fleet, so it
+        reports the recorded failure instead of queueing a job no worker
+        of its own will run.  One COUNTS request when nothing failed.
+        """
+        if not queue.counts().failed:
+            return
+        for job in jobs:
+            key = job.key()
+            failure = queue.failure(key)
+            if failure is not None:
+                raise _job_failed(key, failure)
+
+
+def _job_failed(key: str, failure: dict) -> RuntimeError:
+    return RuntimeError(
+        f"distributed job {key[:12]} failed on worker "
+        f"{failure.get('worker', '?')}: {failure.get('error', '?')}\n"
+        f"{failure.get('traceback', '')}")
 
 
 def run_jobs(jobs: Sequence[ExperimentJob],

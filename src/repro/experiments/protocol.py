@@ -25,9 +25,10 @@ never a lost or corrupted result.
 
 Request/response types mirror the :class:`~repro.experiments.queue.WorkQueue`
 interface — SUBMIT / CLAIM / COMPLETE / FAIL / HEARTBEAT / COUNTS /
-REQUEUE plus the result-query messages — and every request is answered
-by exactly one OK (payload: the reply) or ERROR (payload: the remote
-failure description) frame.
+REQUEUE, the result-query messages and COMPLETED_SINCE, the long-polled
+completion feed — and every request is answered by exactly one OK
+(payload: the reply) or ERROR (payload: the remote failure description)
+frame.
 
 Payloads are pickled, exactly like the jobs the
 :class:`~repro.experiments.queue.DirectoryQueue` already writes to its
@@ -90,6 +91,7 @@ class MessageType(enum.IntEnum):
     INVALIDATE = 10
     ARTIFACT_GET = 11
     ARTIFACT_PUT = 12
+    COMPLETED_SINCE = 13
     #: Response types: every request gets exactly one of these back.
     OK = 64
     ERROR = 65

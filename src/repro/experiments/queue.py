@@ -24,17 +24,37 @@ The directory protocol::
   the lexicographic order of ``pending/`` *is* the submission order —
   the executor submits largest-estimated-cost first and workers drain in
   exactly that order.  Submitting a key that is already pending,
-  claimed, or completed is a no-op (idempotent).
+  claimed, or completed is a no-op (idempotent), except that a
+  completed key is announced on the completion feed again (below), so
+  a submitter waiting on it learns it is done.  Submitting a key with
+  a failure marker on file is a retry: the marker is removed and the
+  job enqueued again, so an earlier failure never fails a resubmission
+  that has not run.
 * **Claiming** is one ``os.rename`` from ``pending/`` into ``claimed/``
   — atomic on POSIX, so exactly one of any number of racing workers
   wins; losers see ``FileNotFoundError`` and move to the next file.
 * **Completion** writes the result through the SQLite
   :class:`~repro.experiments.store.ResultStore` (the same
-  provenance-stamped rows the in-process backends write; rollback
-  journal + a busy timeout coordinate concurrent workers, including
-  workers on other machines — with the usual SQLite caveat that the
-  shared filesystem's advisory locking must work) and removes the
-  claim.
+  provenance-stamped rows the in-process backends write; a rollback
+  journal in ``PERSIST`` mode + a busy timeout coordinate concurrent
+  workers, including workers on other machines — with the usual SQLite
+  caveat that the shared filesystem's advisory locking must work) and
+  removes the claim.  :meth:`DirectoryQueue.record_result` and
+  :meth:`DirectoryQueue.record_failure` are the only writers of the two
+  outcomes; local workers and the queue server both call them.
+* **The completion feed** is a ``completions`` table in the same
+  database: an ``AUTOINCREMENT`` sequence with one row per result row
+  written (appended by a trigger on ``results``, in the writing
+  transaction, whoever the writer is) and one per failure marker
+  recorded.  SQLite commits one writer at a time, so sequence order is
+  commit order and a reader holding a cursor never skips a row;
+  ``AUTOINCREMENT`` never reuses a number, even after
+  :meth:`~WorkQueue.invalidate` deletes a result row (a plain
+  ``rowid`` would).  :meth:`~WorkQueue.completed_since` returns the
+  keys sequenced after a cursor, so a submitter fetches exactly the
+  entries that have finished instead of asking after every key.  The
+  feed lives in the database, so it survives server restarts, and it
+  sees results that directory workers commit straight into the file.
 * **Crash recovery**: a dead worker leaves its claim file behind.
   :meth:`requeue_stale` renames claims older than a lease back into
   ``pending/`` (a successful claim refreshes its mtime, starting the
@@ -64,10 +84,28 @@ from repro.experiments.jobs import ExperimentJob
 from repro.experiments.store import ResultStore, atomic_write_bytes
 
 __all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts", "WorkQueue",
-           "default_worker_id"]
+           "default_worker_id", "format_error"]
 
 #: Zero-padded width of the submission-priority filename prefix.
 _PRIORITY_WIDTH = 8
+
+#: How often a waiting :meth:`DirectoryQueue.completed_since` re-reads
+#: the feed; other processes commit to the database without a signal.
+FEED_POLL_S = 0.02
+
+#: The completion feed (see the module docstring).  ``outcome`` is
+#: ``"result"`` or ``"failure"``.
+_FEED_SQL = """
+CREATE TABLE IF NOT EXISTS completions (
+    seq     INTEGER PRIMARY KEY AUTOINCREMENT,
+    key     TEXT    NOT NULL,
+    outcome TEXT    NOT NULL
+);
+CREATE TRIGGER IF NOT EXISTS completions_on_result AFTER INSERT ON results
+BEGIN
+    INSERT INTO completions (key, outcome) VALUES (new.key, 'result');
+END;
+"""
 
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -75,6 +113,12 @@ _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
 def default_worker_id() -> str:
     """A host-unique worker identity: ``<hostname>-<pid>``."""
     return _SAFE_ID.sub("_", f"{socket.gethostname()}-{os.getpid()}")
+
+
+def format_error(error: BaseException) -> tuple[str, str]:
+    """``(repr, traceback text)`` of ``error``: the form a failure is
+    recorded in, and crosses the wire in."""
+    return repr(error), "".join(traceback.format_exception(error))
 
 
 @dataclass(frozen=True)
@@ -140,6 +184,20 @@ class WorkQueue(abc.ABC):
         """Record a failure marker for the job and release the claim."""
 
     @abc.abstractmethod
+    def completed_since(self, cursor: Optional[int], timeout_s: float = 0.0
+                        ) -> tuple[int, list[tuple[str, str]]]:
+        """The completion feed: ``(cursor, [(key, outcome), ...])``.
+
+        Lists, in sequence order, every key that completed
+        (``"result"``) or failed (``"failure"``) after ``cursor``, and
+        returns the cursor to pass next.  With none yet, waits up to
+        ``timeout_s`` for the first.  ``cursor=None`` returns the
+        current head and no keys, at once: take it *before* submitting,
+        and every submitted key appears on the feed after it (see the
+        module docstring).
+        """
+
+    @abc.abstractmethod
     def result_entry(self, key: str) -> Optional[dict]:
         """The completed job's full cache entry, or None while outstanding."""
 
@@ -189,6 +247,7 @@ class DirectoryQueue(WorkQueue):
         #: on different machines, and WAL's shared-memory coordination
         #: does not span hosts.
         self.results = ResultStore(self.root / "results", wal=False)
+        self.results.connection().executescript(_FEED_SQL)
         self._sequence = self._next_sequence()
         # Lease aging state for requeue_stale(): claim-file name ->
         # (st_mtime_ns, base) where ``base`` is the _mono() instant the
@@ -227,25 +286,73 @@ class DirectoryQueue(WorkQueue):
         return keys
 
     # -- submitter side ---------------------------------------------------------------
-    def submit(self, job: ExperimentJob) -> str:
-        return self._submit(job, self._queued_keys())
-
     def submit_many(self, jobs: Sequence[ExperimentJob]) -> list[str]:
-        """Batch :meth:`submit`: one duplicate scan for the whole batch."""
+        """Batch :meth:`submit`: one duplicate scan and at most one feed
+        transaction for the whole batch."""
         queued = self._queued_keys()
-        return [self._submit(job, queued) for job in jobs]
+        completed: list[str] = []
+        keys = [self._submit(job, queued, completed) for job in jobs]
+        self._append_feed(completed, "result")
+        return keys
 
-    def _submit(self, job: ExperimentJob, queued: set[str]) -> str:
+    def submit(self, job: ExperimentJob) -> str:
+        return self.submit_many([job])[0]
+
+    def _submit(self, job: ExperimentJob, queued: set[str],
+                completed: list[str]) -> str:
         key = job.key()
-        if key in queued or self.result_entry(key) is not None:
+        if key in queued:
             return key
         queued.add(key)
+        if self.result_entry(key) is not None:
+            completed.append(key)                # announce it again
+            return key
+        # A resubmission is a retry: it supersedes an earlier failure.
+        (self.failed_dir / f"{key}.json").unlink(missing_ok=True)
         name = f"{self._sequence:0{_PRIORITY_WIDTH}d}-{key}.job"
         self._sequence += 1
         atomic_write_bytes(self.root, self.pending_dir / name,
                            pickle.dumps(job,
                                         protocol=pickle.HIGHEST_PROTOCOL))
         return key
+
+    def completed_since(self, cursor: Optional[int], timeout_s: float = 0.0
+                        ) -> tuple[int, list[tuple[str, str]]]:
+        deadline = time.monotonic() + timeout_s
+        while True:
+            head, done = self._read_feed(cursor)
+            remaining = deadline - time.monotonic()
+            if done or cursor is None or remaining <= 0:
+                return head, done
+            time.sleep(min(FEED_POLL_S, remaining))
+
+    def _read_feed(self, cursor: Optional[int]
+                   ) -> tuple[int, list[tuple[str, str]]]:
+        conn = self.results.connection()
+        if cursor is None:
+            head = conn.execute(
+                "SELECT COALESCE(MAX(seq), 0) FROM completions").fetchone()
+            return head[0], []
+        rows = conn.execute(
+            "SELECT seq, key, outcome FROM completions WHERE seq > ? "
+            "ORDER BY seq", (cursor,)).fetchall()
+        if not rows:
+            return cursor, []
+        return rows[-1][0], [(key, outcome) for _, key, outcome in rows]
+
+    def _append_feed(self, keys: Sequence[str], outcome: str) -> None:
+        if not keys:
+            return
+        conn = self.results.connection()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            conn.executemany(
+                "INSERT INTO completions (key, outcome) VALUES (?, ?)",
+                [(key, outcome) for key in keys])
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
 
     def result_entry(self, key: str) -> Optional[dict]:
         return self.results.get_entry(key)
@@ -387,9 +494,10 @@ class DirectoryQueue(WorkQueue):
     def release_claim(self, key: str, worker_id: str) -> bool:
         """Drop the claim ``worker_id`` holds on ``key`` (idempotent).
 
-        The server-side half of a remote completion: the result has been
-        stored, so the claim file — if a requeue has not already taken
-        it — is simply removed.
+        The last step of every outcome: once it is recorded, the claim
+        file — if a requeue has not already taken it — is removed.  (A
+        claim requeued past its lease may even have been completed by
+        another worker — byte-identical by determinism.)
         """
         worker = _SAFE_ID.sub("_", worker_id) if worker_id \
             else default_worker_id()
@@ -400,9 +508,19 @@ class DirectoryQueue(WorkQueue):
                 return True
         return False
 
+    def record_result(self, key: str, worker_id: str, job: ExperimentJob,
+                      result, runtime_s: Optional[float] = None) -> None:
+        """Store a job's result and release its claim, from the wire
+        form of a completion (the local :meth:`complete` and the queue
+        server both land here).  The result row's insert trigger
+        appends it to the completion feed in the same transaction."""
+        self.results.put(job, result, runtime_s=runtime_s)
+        self.release_claim(key, worker_id)
+
     def record_failure(self, key: str, worker_id: str, error_repr: str,
                        traceback_text: str = "") -> None:
-        """Write a failure marker from already-formatted error text (the
+        """Write a failure marker, announce it on the completion feed
+        and release the claim, from already-formatted error text (the
         form a failure crosses the wire in)."""
         marker = {
             "key": key,
@@ -412,6 +530,8 @@ class DirectoryQueue(WorkQueue):
         }
         atomic_write_bytes(self.root, self.failed_dir / f"{key}.json",
                            json.dumps(marker, indent=2).encode("utf-8"))
+        self._append_feed([key], "failure")
+        self.release_claim(key, worker_id)
 
     def claim(self, worker_id: Optional[str] = None,
               key: Optional[str] = None) -> Optional[ClaimedJob]:
@@ -456,23 +576,15 @@ class DirectoryQueue(WorkQueue):
             with target.open("rb") as handle:
                 job = pickle.load(handle)
         except Exception as error:
-            self._record_failure(key, error, worker)
-            target.unlink(missing_ok=True)
+            self.record_failure(key, worker, *format_error(error))
             return None
         return ClaimedJob(key=key, job=job, worker_id=worker, path=target)
 
     def complete(self, claimed: ClaimedJob, result,
                  runtime_s: Optional[float] = None) -> None:
-        self.results.put(claimed.job, result, runtime_s=runtime_s)
-        # A claim requeued past its lease may already be gone (or even
-        # completed by another worker — byte-identical by determinism).
-        claimed.path.unlink(missing_ok=True)
+        self.record_result(claimed.key, claimed.worker_id, claimed.job,
+                           result, runtime_s)
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
-        self._record_failure(claimed.key, error, claimed.worker_id)
-        claimed.path.unlink(missing_ok=True)
-
-    def _record_failure(self, key: str, error: BaseException,
-                        worker: str) -> None:
-        self.record_failure(key, worker, repr(error),
-                            "".join(traceback.format_exception(error)))
+        self.record_failure(claimed.key, claimed.worker_id,
+                            *format_error(error))

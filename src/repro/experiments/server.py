@@ -17,7 +17,7 @@ left them, so
   directory as found, re-registers the workers named in the claim files,
   and carries on.
 
-Two things are layered on top of the directory protocol:
+Three things are layered on top of the directory protocol:
 
 **Worker liveness.**  Workers heartbeat (:class:`MessageType.HEARTBEAT`)
 every couple of seconds, naming the claims they are actually executing.
@@ -37,6 +37,20 @@ CostModel` from the queue's result store, and hands out the pending job
 with the largest estimate (ties and unknown-cost jobs fall back to
 priority order).  Ordering never changes a result — only how well the
 fleet is packed.
+
+**A long-polled completion feed.**  ``COMPLETED_SINCE`` serves
+:meth:`~repro.experiments.queue.DirectoryQueue.completed_since`: the
+keys that completed or failed after the submitter's cursor.  With none
+yet, the handler waits on a :class:`threading.Condition` over the
+server lock — other requests run meanwhile — and every COMPLETE, FAIL
+or SUBMIT wakes it; it also re-reads the feed every
+:data:`FEED_RECHECK_S` for results that directory workers commit
+straight into the database.  Once the first key arrives it answers at
+the end of a short batch window (:data:`FEED_BATCH_S`), so a submitter
+draining many tiny jobs collects several completions per request.
+The feed's cursor is a sequence number in the queue database, so a
+submitter that reconnects to a restarted server resumes exactly where
+it left off.
 """
 
 from __future__ import annotations
@@ -68,6 +82,14 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
 
 #: How often the sweeper checks heartbeats and stale leases.
 DEFAULT_SWEEP_INTERVAL_S = 1.0
+
+#: How often a waiting COMPLETED_SINCE re-reads the feed for results
+#: committed without going through this server.
+FEED_RECHECK_S = 0.05
+
+#: A COMPLETED_SINCE that had to wait answers no earlier than this after
+#: it arrived, collecting the completions that land meanwhile.
+FEED_BATCH_S = 0.01
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -155,6 +177,8 @@ class QueueServer:
         self._pending: deque[tuple[str, Path]] = deque()
         self._pending_dirty = True
         self._lock = threading.Lock()
+        #: Signalled whenever the completion feed may have grown.
+        self._feed_grew = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._connections: set = set()
         self._threads: list[threading.Thread] = []
@@ -197,6 +221,7 @@ class QueueServer:
         self._tcp.shutdown()
         self._tcp.server_close()
         with self._lock:
+            self._feed_grew.notify_all()  # end waiting long-polls
             connections = list(self._connections)
         for connection in connections:
             try:
@@ -281,6 +306,7 @@ class QueueServer:
         for key, job in zip(keys, jobs):
             self._costs[key] = (job.kind, job.cost_units())
         self._pending_dirty = True
+        self._feed_grew.notify_all()  # completed keys re-announced
         return {"keys": keys}
 
     def _refresh_pending(self) -> None:
@@ -323,10 +349,10 @@ class QueueServer:
         self._mark_alive(worker)
         job = payload["job"]
         runtime_s = payload.get("runtime_s")
-        self.queue.results.put(job, payload["result"], runtime_s=runtime_s)
-        self.queue.release_claim(payload["key"], worker)
+        self.queue.record_result(payload["key"], worker, job, payload["result"], runtime_s)
         self._calibration.observe(job.kind, job.cost_units(), runtime_s)
         self._costs.pop(payload["key"], None)
+        self._feed_grew.notify_all()
         return {}
 
     def _op_fail(self, payload: dict) -> dict:
@@ -338,8 +364,29 @@ class QueueServer:
             payload.get("error", "unknown error"),
             payload.get("traceback", ""),
         )
-        self.queue.release_claim(payload["key"], worker)
+        self._feed_grew.notify_all()
         return {}
+
+    def _op_completed_since(self, payload: dict) -> dict:
+        """Long-poll the completion feed (see the module docstring)."""
+        cursor = payload.get("cursor")
+        arrived = time.monotonic()
+        deadline = arrived + payload.get("timeout_s", 0.0)
+        waited = False
+        while True:
+            head, done = self.queue.completed_since(cursor)
+            now = time.monotonic()
+            if cursor is None or now >= deadline or self._stop.is_set():
+                break
+            if done:
+                if not waited or now >= arrived + FEED_BATCH_S:
+                    break
+                wake_at = arrived + FEED_BATCH_S
+            else:
+                waited = True
+                wake_at = now + FEED_RECHECK_S
+            self._feed_grew.wait(min(wake_at, deadline) - now)
+        return {"cursor": head, "completed": done}
 
     def _op_heartbeat(self, payload: dict) -> dict:
         worker = payload.get("worker")
@@ -405,4 +452,5 @@ class QueueServer:
         MessageType.INVALIDATE: _op_invalidate,
         MessageType.ARTIFACT_GET: _op_artifact_get,
         MessageType.ARTIFACT_PUT: _op_artifact_put,
+        MessageType.COMPLETED_SINCE: _op_completed_since,
     }

@@ -17,7 +17,10 @@ exhausted.  Retrying is safe for every request type:
 
 * SUBMIT, COMPLETE, FAIL, HEARTBEAT, REQUEUE and the queries are
   idempotent (re-submitting a key is a no-op; re-storing a result writes
-  the byte-identical row).
+  the byte-identical row).  COMPLETED_SINCE is a read at the caller's
+  cursor, which lives in the queue database: a retry against a
+  restarted server returns the same keys, plus any that completed
+  meanwhile.
 * CLAIM is the one non-idempotent request: if the server applied a claim
   but the response was lost, the retry claims a *different* job and the
   first claim is orphaned.  Orphans are never refreshed — heartbeats
@@ -27,7 +30,10 @@ exhausted.  Retrying is safe for every request type:
 
 A server-side failure (the server answered, with an ERROR frame) raises
 :class:`QueueRemoteError` and is **not** retried — the request arrived
-fine; repeating it would repeat the failure.
+fine; repeating it would repeat the failure.  The error names the
+request's frame type, so a server that predates the completion feed and
+answers COMPLETED_SINCE with an ERROR frame says so; submitters need
+the feed, and there is no fallback poller.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import logging
 import socket
 import threading
 import time
-import traceback
 from typing import Optional, Sequence
 
 from repro.experiments.jobs import ExperimentJob
@@ -46,7 +51,7 @@ from repro.experiments.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.queue import ClaimedJob, QueueCounts, WorkQueue
+from repro.experiments.queue import ClaimedJob, QueueCounts, WorkQueue, format_error
 
 __all__ = [
     "QueueConnectionError",
@@ -165,9 +170,8 @@ class SocketQueue(WorkQueue):
                     continue
                 reply_kind, reply_payload = reply
                 if reply_kind is MessageType.ERROR:
-                    raise QueueRemoteError(
-                        (reply_payload or {}).get("error", "unknown server error")
-                    )
+                    error = (reply_payload or {}).get("error", "unknown server error")
+                    raise QueueRemoteError(f"{kind.name} request to {self.addr} failed: {error}")
                 return reply_payload or {}
             raise QueueConnectionError(
                 f"queue server {self.addr} unreachable after "
@@ -185,6 +189,18 @@ class SocketQueue(WorkQueue):
             chunk = jobs[start : start + _SUBMIT_CHUNK]
             keys.extend(self._request(MessageType.SUBMIT, {"jobs": chunk})["keys"])
         return keys
+
+    def completed_since(
+        self, cursor: Optional[int], timeout_s: float = 0.0
+    ) -> tuple[int, list[tuple[str, str]]]:
+        # The server holds the request for up to timeout_s; stay well
+        # inside the socket timeout so a long-poll never reads as a
+        # dead connection.
+        timeout_s = min(timeout_s, self.timeout_s / 2)
+        reply = self._request(
+            MessageType.COMPLETED_SINCE, {"cursor": cursor, "timeout_s": timeout_s}
+        )
+        return reply["cursor"], reply["completed"]
 
     def result_entry(self, key: str) -> Optional[dict]:
         return self._request(MessageType.RESULT, {"key": key})["entry"]
@@ -236,13 +252,14 @@ class SocketQueue(WorkQueue):
         )
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
+        error_repr, traceback_text = format_error(error)
         self._request(
             MessageType.FAIL,
             {
                 "key": claimed.key,
                 "worker": claimed.worker_id,
-                "error": repr(error),
-                "traceback": "".join(traceback.format_exception(error)),
+                "error": error_repr,
+                "traceback": traceback_text,
             },
         )
 

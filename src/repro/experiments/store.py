@@ -38,6 +38,14 @@ cross-process coordination lives in a shared-memory file, which does
 over a shared filesystem (the distributed queue's results database)
 open with ``wal=False`` — the rollback journal, whose POSIX advisory
 locks are the same primitive multi-host SQLite has always relied on.
+That journal runs in ``PERSIST`` mode, a constant rather than an
+option: ``DELETE`` mode creates, fsyncs and unlinks the journal file on
+every commit, which costs tens of milliseconds per commit on an
+ordinary disk and serialized the queue server behind its result
+writes; ``PERSIST`` keeps the file and zeroes its header instead.  It
+is the same rollback journal under the same locks, so connections that
+still open the file in ``DELETE`` mode (an older checkout's workers)
+share it safely — journal mode is a per-connection setting.
 The usual SQLite caveat applies: a network filesystem with broken
 advisory locking can corrupt any shared database; on such mounts, give
 each worker machine its own queue.  Opening a store rooted at a
@@ -86,7 +94,7 @@ RESULT_DB_FILENAME = "results.sqlite"
 
 #: How long a writer waits on a locked database before giving up.  High
 #: on purpose: distributed workers on a shared filesystem all funnel
-#: through one WAL lock, and a queued write is always better than a
+#: through one database lock, and a queued write is always better than a
 #: failed job.
 BUSY_TIMEOUT_S = 30.0
 
@@ -254,9 +262,9 @@ class ResultStore:
     own connection (re-opened transparently after a fork — SQLite
     connections are affine to both), and the journal mode + busy
     timeout make concurrent writers from other processes safe.
-    ``wal=False`` selects the rollback journal instead of WAL — required
-    when several *machines* write the database over a shared filesystem
-    (see the module docstring).
+    ``wal=False`` selects the rollback journal (in ``PERSIST`` mode)
+    instead of WAL — required when several *machines* write the
+    database over a shared filesystem (see the module docstring).
     """
 
     def __init__(self, root: os.PathLike | str, wal: bool = True):
@@ -301,7 +309,9 @@ class ResultStore:
             else:
                 # Multi-host writers: the rollback journal's POSIX locks
                 # are the only SQLite coordination that spans machines.
-                conn.execute("PRAGMA journal_mode = DELETE")
+                # PERSIST keeps the journal file between commits instead
+                # of creating, fsyncing and unlinking it every time.
+                conn.execute("PRAGMA journal_mode = PERSIST")
             conn.executescript(_SCHEMA_SQL)
             self._local.conn = conn
             self._local.conn_pid = os.getpid()
@@ -367,8 +377,9 @@ class ResultStore:
 
     def put(self, job: "ExperimentJob", result,
             runtime_s: Optional[float] = None) -> None:
-        """Store ``result`` with provenance; one WAL transaction, so
-        readers and concurrent writers never see a partial row."""
+        """Store ``result`` with provenance in one transaction (WAL or
+        rollback journal, per the store's mode), so readers and
+        concurrent writers never see a partial row."""
         self.put_entry(build_entry(job, result, runtime_s=runtime_s))
 
     def put_entry(self, entry: dict, replace: bool = True) -> bool:
