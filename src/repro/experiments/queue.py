@@ -29,7 +29,9 @@ The directory protocol::
   a submitter waiting on it learns it is done.  Submitting a key with
   a failure marker on file is a retry: the marker is removed and the
   job enqueued again, so an earlier failure never fails a resubmission
-  that has not run.
+  that has not run.  Both outcomes are checked before the pending and
+  claimed scan, because a worker records an outcome before it removes
+  its claim file.
 * **Claiming** is one ``os.rename`` from ``pending/`` into ``claimed/``
   — atomic on POSIX, so exactly one of any number of racing workers
   wins; losers see ``FileNotFoundError`` and move to the next file.
@@ -89,8 +91,9 @@ __all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts", "WorkQueue",
 #: Zero-padded width of the submission-priority filename prefix.
 _PRIORITY_WIDTH = 8
 
-#: How often a waiting :meth:`DirectoryQueue.completed_since` re-reads
-#: the feed; other processes commit to the database without a signal.
+#: How often a waiting completion-feed reader (:meth:`DirectoryQueue.
+#: completed_since`, the queue server's long-poll) re-reads the feed;
+#: other processes commit to the database without a signal.
 FEED_POLL_S = 0.02
 
 #: The completion feed (see the module docstring).  ``outcome`` is
@@ -300,15 +303,22 @@ class DirectoryQueue(WorkQueue):
 
     def _submit(self, job: ExperimentJob, queued: set[str],
                 completed: list[str]) -> str:
+        # Outcomes are checked before the queued scan: a worker records
+        # an outcome before it drops the claim, so a key whose claim
+        # ``queued`` still lists may already be done, its feed row before
+        # the submitter's cursor.  A result is announced again; a failure
+        # is retried even while its claim file lingers.
         key = job.key()
-        if key in queued:
-            return key
-        queued.add(key)
         if self.result_entry(key) is not None:
-            completed.append(key)                # announce it again
+            completed.append(key)
             return key
-        # A resubmission is a retry: it supersedes an earlier failure.
-        (self.failed_dir / f"{key}.json").unlink(missing_ok=True)
+        try:
+            # A resubmission is a retry: it supersedes an earlier failure.
+            (self.failed_dir / f"{key}.json").unlink()
+        except FileNotFoundError:
+            if key in queued:
+                return key
+        queued.add(key)
         name = f"{self._sequence:0{_PRIORITY_WIDTH}d}-{key}.job"
         self._sequence += 1
         atomic_write_bytes(self.root, self.pending_dir / name,
@@ -509,19 +519,26 @@ class DirectoryQueue(WorkQueue):
         return False
 
     def record_result(self, key: str, worker_id: str, job: ExperimentJob,
-                      result, runtime_s: Optional[float] = None) -> None:
+                      result, runtime_s: Optional[float] = None,
+                      claim_path: Optional[Path] = None) -> None:
         """Store a job's result and release its claim, from the wire
         form of a completion (the local :meth:`complete` and the queue
         server both land here).  The result row's insert trigger
-        appends it to the completion feed in the same transaction."""
+        appends it to the completion feed in the same transaction.
+
+        ``claim_path`` is the claim file when the caller holds it (a
+        local claim); without it the claim is looked up by key and
+        worker (:meth:`release_claim`)."""
         self.results.put(job, result, runtime_s=runtime_s)
-        self.release_claim(key, worker_id)
+        self._release(key, worker_id, claim_path)
 
     def record_failure(self, key: str, worker_id: str, error_repr: str,
-                       traceback_text: str = "") -> None:
+                       traceback_text: str = "",
+                       claim_path: Optional[Path] = None) -> None:
         """Write a failure marker, announce it on the completion feed
         and release the claim, from already-formatted error text (the
-        form a failure crosses the wire in)."""
+        form a failure crosses the wire in).  ``claim_path`` as for
+        :meth:`record_result`."""
         marker = {
             "key": key,
             "worker": worker_id,
@@ -531,7 +548,14 @@ class DirectoryQueue(WorkQueue):
         atomic_write_bytes(self.root, self.failed_dir / f"{key}.json",
                            json.dumps(marker, indent=2).encode("utf-8"))
         self._append_feed([key], "failure")
-        self.release_claim(key, worker_id)
+        self._release(key, worker_id, claim_path)
+
+    def _release(self, key: str, worker_id: str,
+                 claim_path: Optional[Path]) -> None:
+        if claim_path is None:
+            self.release_claim(key, worker_id)
+        else:
+            claim_path.unlink(missing_ok=True)
 
     def claim(self, worker_id: Optional[str] = None,
               key: Optional[str] = None) -> Optional[ClaimedJob]:
@@ -576,15 +600,16 @@ class DirectoryQueue(WorkQueue):
             with target.open("rb") as handle:
                 job = pickle.load(handle)
         except Exception as error:
-            self.record_failure(key, worker, *format_error(error))
+            self.record_failure(key, worker, *format_error(error),
+                                claim_path=target)
             return None
         return ClaimedJob(key=key, job=job, worker_id=worker, path=target)
 
     def complete(self, claimed: ClaimedJob, result,
                  runtime_s: Optional[float] = None) -> None:
         self.record_result(claimed.key, claimed.worker_id, claimed.job,
-                           result, runtime_s)
+                           result, runtime_s, claim_path=claimed.path)
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
         self.record_failure(claimed.key, claimed.worker_id,
-                            *format_error(error))
+                            *format_error(error), claim_path=claimed.path)

@@ -44,11 +44,9 @@ keys that completed or failed after the submitter's cursor.  With none
 yet, the handler waits on a :class:`threading.Condition` over the
 server lock — other requests run meanwhile — and every COMPLETE, FAIL
 or SUBMIT wakes it; it also re-reads the feed every
-:data:`FEED_RECHECK_S` for results that directory workers commit
-straight into the database.  Once the first key arrives it answers at
-the end of a short batch window (:data:`FEED_BATCH_S`), so a submitter
-draining many tiny jobs collects several completions per request.
-The feed's cursor is a sequence number in the queue database, so a
+:data:`~repro.experiments.queue.FEED_POLL_S` for results that directory
+workers commit straight into the database.  It answers as soon as the
+feed lists a key.  The feed's cursor is a sequence number in the queue database, so a
 submitter that reconnects to a restarted server resumes exactly where
 it left off.
 """
@@ -71,7 +69,7 @@ from repro.experiments.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.queue import DirectoryQueue
+from repro.experiments.queue import FEED_POLL_S, DirectoryQueue
 
 __all__ = ["QueueServer"]
 
@@ -82,14 +80,6 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
 
 #: How often the sweeper checks heartbeats and stale leases.
 DEFAULT_SWEEP_INTERVAL_S = 1.0
-
-#: How often a waiting COMPLETED_SINCE re-reads the feed for results
-#: committed without going through this server.
-FEED_RECHECK_S = 0.05
-
-#: A COMPLETED_SINCE that had to wait answers no earlier than this after
-#: it arrived, collecting the completions that land meanwhile.
-FEED_BATCH_S = 0.01
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -370,23 +360,13 @@ class QueueServer:
     def _op_completed_since(self, payload: dict) -> dict:
         """Long-poll the completion feed (see the module docstring)."""
         cursor = payload.get("cursor")
-        arrived = time.monotonic()
-        deadline = arrived + payload.get("timeout_s", 0.0)
-        waited = False
+        deadline = time.monotonic() + payload.get("timeout_s", 0.0)
         while True:
             head, done = self.queue.completed_since(cursor)
-            now = time.monotonic()
-            if cursor is None or now >= deadline or self._stop.is_set():
-                break
-            if done:
-                if not waited or now >= arrived + FEED_BATCH_S:
-                    break
-                wake_at = arrived + FEED_BATCH_S
-            else:
-                waited = True
-                wake_at = now + FEED_RECHECK_S
-            self._feed_grew.wait(min(wake_at, deadline) - now)
-        return {"cursor": head, "completed": done}
+            remaining = deadline - time.monotonic()
+            if done or cursor is None or remaining <= 0 or self._stop.is_set():
+                return {"cursor": head, "completed": done}
+            self._feed_grew.wait(min(FEED_POLL_S, remaining))
 
     def _op_heartbeat(self, payload: dict) -> dict:
         worker = payload.get("worker")

@@ -31,9 +31,11 @@ exhausted.  Retrying is safe for every request type:
 A server-side failure (the server answered, with an ERROR frame) raises
 :class:`QueueRemoteError` and is **not** retried — the request arrived
 fine; repeating it would repeat the failure.  The error names the
-request's frame type, so a server that predates the completion feed and
-answers COMPLETED_SINCE with an ERROR frame says so; submitters need
-the feed, and there is no fallback poller.
+request's frame type.  A server that predates the completion feed does
+not answer COMPLETED_SINCE at all: its decoder rejects the unknown frame
+type as corrupt and drops the connection, so the request fails with
+:class:`QueueConnectionError` once the retries are spent.  Submitters
+need a server with the feed; there is no fallback poller.
 """
 
 from __future__ import annotations

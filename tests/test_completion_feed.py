@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import os
 import subprocess
 import sys
@@ -32,10 +33,16 @@ from repro.experiments import (
     Scenario,
     execute_job,
 )
-from repro.experiments.protocol import MessageType
+from repro.experiments import server as server_module
+from repro.experiments.protocol import CorruptFrameError, MessageType, recv_frame
 from repro.experiments.queue import DirectoryQueue
 from repro.experiments.server import QueueServer
-from repro.experiments.socket_queue import QueueRemoteError, SocketQueue, parse_addr
+from repro.experiments.socket_queue import (
+    QueueConnectionError,
+    QueueRemoteError,
+    SocketQueue,
+    parse_addr,
+)
 from repro.experiments.worker import spawn_worker
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,6 +92,16 @@ def queue(request, tmp_path):
 
 def _keys(done) -> list[str]:
     return [key for key, _ in done]
+
+
+@contextlib.contextmanager
+def _claims_linger(root: Path):
+    """Put back the claim files an outcome removes: the moment after a
+    worker records an outcome and before it drops its claim."""
+    saved = {path: path.read_bytes() for path in (root / "claimed").iterdir()}
+    yield
+    for path, data in saved.items():
+        path.write_bytes(data)
 
 
 # -- the journal ------------------------------------------------------------------------
@@ -198,6 +215,35 @@ def test_feed_is_exact_for_an_invalidated_and_resubmitted_key(queue, config):
     assert queue.result_entry(job.key())["result"] == {"value": 2.0}
 
 
+def test_a_result_committed_before_its_claim_drops_is_announced(queue, config, tmp_path):
+    """A submitter whose cursor lands after a worker's commit but before
+    the worker unlinks its claim still sees the key after that cursor."""
+    [job] = _jobs(config, 1)
+    queue.submit(job)
+    claimed = queue.claim("w")
+    with _claims_linger(tmp_path / "q"):
+        queue.complete(claimed, {"value": 1.0})
+    head, _ = queue.completed_since(None)
+    queue.submit(job)
+    assert queue.completed_since(head)[1] == [(job.key(), "result")]
+
+
+def test_a_failure_recorded_before_its_claim_drops_is_retried(queue, config, tmp_path):
+    """The same window for a failure: the resubmission supersedes the
+    marker and re-enqueues the job, whose outcome lands after the cursor."""
+    [job] = _jobs(config, 1)
+    queue.submit(job)
+    claimed = queue.claim("w")
+    with _claims_linger(tmp_path / "q"):
+        queue.fail(claimed, RuntimeError("transient"))
+    head, _ = queue.completed_since(None)
+    queue.submit(job)
+    assert queue.failure(job.key()) is None
+    assert queue.counts().pending == 1
+    queue.complete(queue.claim("w2"), {"value": 1.0})
+    assert queue.completed_since(head)[1] == [(job.key(), "result")]
+
+
 def test_submitting_a_completed_key_announces_it_again(queue, config):
     [job] = _jobs(config, 1)
     queue.submit(job)
@@ -262,7 +308,9 @@ def test_long_polls_under_concurrent_completions_miss_nothing(tmp_path, config):
         submitter.close()
 
 
-def test_an_older_server_without_the_feed_raises_naming_the_frame(tmp_path, monkeypatch):
+def test_a_server_error_on_completed_since_names_the_frame(tmp_path, monkeypatch):
+    """A server that answers COMPLETED_SINCE with an ERROR frame (here:
+    one with no handler for it) raises QueueRemoteError naming it."""
     handlers = {
         kind: handler
         for kind, handler in QueueServer._HANDLERS.items()
@@ -272,6 +320,27 @@ def test_an_older_server_without_the_feed_raises_naming_the_frame(tmp_path, monk
     with QueueServer(tmp_path / "q") as server:
         client = SocketQueue(server.address, retries=1, backoff_s=0.01)
         with pytest.raises(QueueRemoteError, match="COMPLETED_SINCE"):
+            client.completed_since(None)
+        client.close()
+
+
+def test_a_pre_feed_server_drops_completed_since_as_a_corrupt_frame(tmp_path, monkeypatch):
+    """A server that predates the feed does not know frame type 13: its
+    decoder rejects the frame as corrupt and closes the connection, so a
+    submitter against it fails with QueueConnectionError after its
+    retries.  A submitter with the feed needs a server with it."""
+
+    def pre_feed_recv_frame(sock):
+        frame = recv_frame(sock)
+        if frame is not None and frame[0] is MessageType.COMPLETED_SINCE:
+            raise CorruptFrameError(f"unknown message type {frame[0].value}")
+        return frame
+
+    monkeypatch.setattr(server_module, "recv_frame", pre_feed_recv_frame)
+    with QueueServer(tmp_path / "q") as server:
+        client = SocketQueue(server.address, retries=1, backoff_s=0.01)
+        assert client.counts().pending == 0  # every other frame still works
+        with pytest.raises(QueueConnectionError, match="unreachable"):
             client.completed_since(None)
         client.close()
 
