@@ -27,9 +27,10 @@ and returns their results in the same order.  Three layers cooperate:
 Both queue backends share one drain loop.  It takes the queue's
 completion-feed cursor, submits, and then waits on
 :meth:`~repro.experiments.queue.WorkQueue.completed_since` (a
-``COMPLETED_SINCE`` long-poll on the socket backend), fetching the
-entries of exactly the keys that finished — a drain costs about one
-request per job, not one per outstanding key per pass.  Between waits
+``COMPLETED_SINCE`` long-poll on the socket backend, whose replies
+carry the finished entries), reading the entries of exactly the keys
+that finished — a drain costs about one request per job, not one per
+outstanding key per pass.  Between waits
 it rejects and resubmits tampered entries, requeues the claims of
 spawned workers that died, polices leases on the directory backend
 (the queue server runs its own sweep), and enforces the deadline.

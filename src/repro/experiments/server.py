@@ -46,7 +46,9 @@ server lock — other requests run meanwhile — and every COMPLETE, FAIL
 or SUBMIT wakes it; it also re-reads the feed every
 :data:`~repro.experiments.queue.FEED_POLL_S` for results that directory
 workers commit straight into the database.  It answers as soon as the
-feed lists a key.  The feed's cursor is a sequence number in the queue database, so a
+feed lists a key, and the answer carries the cache entries of the
+results it lists, so a draining submitter needs no RESULT request per
+job.  The feed's cursor is a sequence number in the queue database, so a
 submitter that reconnects to a restarted server resumes exactly where
 it left off.
 """
@@ -365,8 +367,12 @@ class QueueServer:
             head, done = self.queue.completed_since(cursor)
             remaining = deadline - time.monotonic()
             if done or cursor is None or remaining <= 0 or self._stop.is_set():
-                return {"cursor": head, "completed": done}
+                break
             self._feed_grew.wait(min(FEED_POLL_S, remaining))
+        entries = {
+            key: self.queue.result_entry(key) for key, outcome in done if outcome == "result"
+        }
+        return {"cursor": head, "completed": done, "entries": entries}
 
     def _op_heartbeat(self, payload: dict) -> dict:
         worker = payload.get("worker")

@@ -109,6 +109,8 @@ class SocketQueue(WorkQueue):
         self.backoff_max_s = backoff_max_s
         self._lock = threading.RLock()
         self._sock: Optional[socket.socket] = None
+        #: key -> cache entry, from the last COMPLETED_SINCE reply.
+        self._feed_entries: dict[str, Optional[dict]] = {}
 
     # -- connection management --------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -202,15 +204,22 @@ class SocketQueue(WorkQueue):
         reply = self._request(
             MessageType.COMPLETED_SINCE, {"cursor": cursor, "timeout_s": timeout_s}
         )
+        # The reply carries the entries of the results it lists: the
+        # drain's result_entry() for each of them needs no round trip.
+        self._feed_entries = reply["entries"]
         return reply["cursor"], reply["completed"]
 
     def result_entry(self, key: str) -> Optional[dict]:
+        entry = self._feed_entries.pop(key, None)
+        if entry is not None:
+            return entry
         return self._request(MessageType.RESULT, {"key": key})["entry"]
 
     def failure(self, key: str) -> Optional[dict]:
         return self._request(MessageType.FAILURE, {"key": key})["marker"]
 
     def invalidate(self, key: str) -> None:
+        self._feed_entries.pop(key, None)
         self._request(MessageType.INVALIDATE, {"key": key})
 
     def requeue_stale(self, lease_s: float) -> list[str]:

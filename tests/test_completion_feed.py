@@ -7,7 +7,8 @@
   failed after a cursor, across a server restart, for results directory
   workers commit straight into the database, and for keys that are
   invalidated and resubmitted.
-* A socket drain costs at most two submitter requests per job.
+* A socket drain costs at most two submitter requests per job, and no
+  RESULT request: the feed's replies carry the entries.
 * A resubmission supersedes a failure marker left in a reused queue.
 """
 
@@ -213,6 +214,16 @@ def test_feed_is_exact_for_an_invalidated_and_resubmitted_key(queue, config):
     assert done == [(job.key(), "result")]
     assert cursor > head
     assert queue.result_entry(job.key())["result"] == {"value": 2.0}
+
+
+def test_an_invalidated_result_reads_as_missing_after_the_feed_listed_it(queue, config):
+    [job] = _jobs(config, 1)
+    head, _ = queue.completed_since(None)
+    queue.submit(job)
+    queue.complete(queue.claim("w"), {"value": 1.0})
+    assert queue.completed_since(head)[1] == [(job.key(), "result")]
+    queue.invalidate(job.key())
+    assert queue.result_entry(job.key()) is None
 
 
 def test_a_result_committed_before_its_claim_drops_is_announced(queue, config, tmp_path):
@@ -422,8 +433,31 @@ def test_socket_drain_costs_at_most_two_submitter_requests_per_job(tmp_path, mon
     submitter = sum(count for kind, count in frames.items() if kind not in WORKER_FRAMES)
     assert frames[MessageType.COMPLETE] == len(jobs)
     assert submitter <= 2 * len(jobs), dict(frames)
-    assert frames[MessageType.RESULT] == len(jobs)
+    # The feed replies carry the entries: no per-job RESULT request.
+    assert frames[MessageType.RESULT] == 0
     assert frames[MessageType.FAILURE] == 0
+
+
+def test_socket_suite_rejects_a_tampered_entry_the_feed_carried(tmp_path, config, caplog):
+    """The entry a COMPLETED_SINCE reply carries gets the same scenario
+    hash check as a fetched one, and the re-run's entry is gathered."""
+    import logging
+
+    job = ExperimentJob(Scenario.single("RE", config, seed_offset=1))
+    queue = DirectoryQueue(tmp_path / "q")
+    queue.submit(job)
+    queue.complete(queue.claim("w"), execute_job(job))
+    entry = dict(queue.result_entry(job.key()))
+    entry["scenario_hash"] = "0" * 64
+    queue.results.put_entry(entry)
+    with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+        with ExperimentSuite(
+            backend="socket", workers=1, queue_dir=tmp_path / "q", timeout_s=300
+        ) as suite:
+            [result] = suite.run([job])
+    assert any("tampered cache entry" in record.message for record in caplog.records)
+    assert result.as_dict() == execute_job(job).as_dict()
+    assert queue.result_entry(job.key())["scenario_hash"] == job.scenario.content_hash()
 
 
 # -- failures ---------------------------------------------------------------------------
