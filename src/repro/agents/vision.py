@@ -17,6 +17,7 @@ import numpy as np
 from repro.agents.cnn import ConvNet, ConvNetConfig
 from repro.agents.recorder import RecordedSession
 from repro.graphics.frame import Frame, ObjectClass
+from repro.sim.randomness import clamp
 
 __all__ = ["DetectedObject", "ObjectDetector"]
 
@@ -67,8 +68,8 @@ class ObjectDetector:
                 continue
             detections.append(DetectedObject(
                 object_class=object_class,
-                x=float(np.clip(raw[index * 3 + 1], 0.0, 1.0)),
-                y=float(np.clip(raw[index * 3 + 2], 0.0, 1.0)),
+                x=clamp(raw[index * 3 + 1], 0.0, 1.0),
+                y=clamp(raw[index * 3 + 2], 0.0, 1.0),
                 confidence=min(presence, 1.0),
             ))
         return detections

@@ -31,7 +31,7 @@ import numpy as np
 from repro.graphics.frame import Frame, ObjectClass, SceneObject
 from repro.hardware.cpu import StageCpuProfile
 from repro.hardware.gpu import GpuWorkloadProfile
-from repro.sim.randomness import StreamRandom
+from repro.sim.randomness import StreamRandom, clamp
 
 __all__ = ["Action", "Application3D", "ApplicationProfile", "InputKind",
            "SceneDynamics"]
@@ -65,8 +65,8 @@ class Action:
 
     @staticmethod
     def from_vector(vector: np.ndarray, issued_at: Optional[float] = None) -> "Action":
-        return Action(steer=float(np.clip(vector[0], -1.0, 1.0)),
-                      pitch=float(np.clip(vector[1], -1.0, 1.0)),
+        return Action(steer=clamp(vector[0], -1.0, 1.0),
+                      pitch=clamp(vector[1], -1.0, 1.0),
                       primary=bool(vector[2] > 0.5),
                       issued_at=issued_at)
 
@@ -203,7 +203,6 @@ class Application3D:
         #: performance depend on *realistic* input generation (Section 1).
         self.activity_level = 1.0
         self._pending_actions: list[Action] = []
-        self._last_frame: Optional[Frame] = None
         self._populate_initial_scene()
 
     # -- scene management ----------------------------------------------------
@@ -248,22 +247,17 @@ class Application3D:
         instantaneous = len(self._pending_actions) / expected_inputs
         smoothing = min(1.0, dt * 2.0)
         self.activity_level += smoothing * (instantaneous - self.activity_level)
-        self.activity_level = float(np.clip(self.activity_level, 0.0, 2.0))
+        self.activity_level = clamp(self.activity_level, 0.0, 2.0)
         self._pending_actions.clear()
 
-        self.viewpoint = float(np.clip(
+        self.viewpoint = clamp(
             self.viewpoint + steer * self.dynamics.viewpoint_sensitivity * dt,
-            -1.0, 1.0))
+            -1.0, 1.0)
 
         shift = -steer * self.dynamics.viewpoint_sensitivity * dt
         updated: list[SceneObject] = []
         for obj in self.objects:
-            moved = obj.advanced(dt)
-            moved = SceneObject(
-                object_class=moved.object_class,
-                x=float(np.clip(moved.x + shift, 0.0, 1.0)),
-                y=moved.y, size=moved.size,
-                velocity_x=moved.velocity_x, velocity_y=moved.velocity_y)
+            moved = obj.advanced(dt, shift)
             if self.rng.random() > self.dynamics.despawn_rate * dt:
                 updated.append(moved)
         expected_spawns = self.dynamics.spawn_rate * dt
@@ -280,7 +274,6 @@ class Application3D:
             scene_change=self._sample_scene_change(abs(steer)),
         )
         self.frame_index += 1
-        self._last_frame = frame
         return frame
 
     def _activity_factor(self) -> float:
@@ -299,9 +292,9 @@ class Application3D:
     def _sample_scene_change(self, steer_magnitude: float) -> float:
         base = (self.profile.scene_change_mean * self._activity_factor()
                 * (1.0 + 0.5 * min(steer_magnitude, 1.0)))
-        return float(np.clip(
+        return clamp(
             self.rng.lognormal_mean_cv(max(base, 1e-3), self.profile.scene_change_cv),
-            0.01, 1.0))
+            0.01, 1.0)
 
     # -- stage-time sampling -----------------------------------------------------------
     def sample_al_time(self) -> float:
@@ -325,9 +318,9 @@ class Application3D:
         steer_targets = frame.objects_of_class(self.dynamics.steer_class)
         if steer_targets:
             mean_x = float(np.mean([o.x for o in steer_targets]))
-            steer = float(np.clip((mean_x - 0.5) * 2.0, -1.0, 1.0))
+            steer = clamp((mean_x - 0.5) * 2.0, -1.0, 1.0)
             mean_y = float(np.mean([o.y for o in steer_targets]))
-            pitch = float(np.clip((0.5 - mean_y) * 2.0, -1.0, 1.0))
+            pitch = clamp((0.5 - mean_y) * 2.0, -1.0, 1.0)
         else:
             steer, pitch = 0.0, 0.0
 
@@ -338,10 +331,6 @@ class Application3D:
                     primary = True
                     break
         return Action(steer=steer, pitch=pitch, primary=primary)
-
-    @property
-    def last_frame(self) -> Optional[Frame]:
-        return self._last_frame
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} frame={self.frame_index} objects={len(self.objects)}>"

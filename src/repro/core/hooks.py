@@ -19,10 +19,14 @@ arises; when measurement is disabled the hooks are inert and free.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["HookPoint", "HookRegistry", "HOOK_APIS"]
+__all__ = ["HookPoint", "HookRegistry", "HOOK_APIS", "HOOK_HISTORY"]
+
+#: How many of the most recent firings a :class:`HookRegistry` keeps.
+HOOK_HISTORY = 1024
 
 
 class HookPoint(enum.Enum):
@@ -69,7 +73,11 @@ class HookEvent:
 
 
 class HookRegistry:
-    """Holds installed hook callbacks and records every firing.
+    """Holds installed hook callbacks and counts every firing.
+
+    ``events`` keeps only the last :data:`HOOK_HISTORY` firings, so a long
+    run does not retain one record per hook; ``fire_counts`` covers the
+    whole run.
 
     ``overhead_per_fire`` is the CPU time one interception costs (parsing
     the call, reading the clock, touching the tag table).  Components that
@@ -85,7 +93,7 @@ class HookRegistry:
         self.overhead_per_fire = overhead_per_fire
         self._callbacks: dict[HookPoint, list[Callable[[HookEvent], None]]] = {
             hook: [] for hook in HookPoint}
-        self.events: list[HookEvent] = []
+        self.events: deque[HookEvent] = deque(maxlen=HOOK_HISTORY)
         self.fire_counts: dict[HookPoint, int] = {hook: 0 for hook in HookPoint}
 
     # -- installation -----------------------------------------------------------
@@ -111,7 +119,7 @@ class HookRegistry:
         if not api:
             api = HOOK_APIS[hook][0]
         event = HookEvent(hook=hook, timestamp=timestamp, api=api, tag=tag,
-                          frame_id=frame_id, context=dict(context))
+                          frame_id=frame_id, context=context)
         self.events.append(event)
         self.fire_counts[hook] += 1
         for callback in self._callbacks[hook]:

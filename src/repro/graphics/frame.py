@@ -18,11 +18,14 @@ runs its CNN over it.  Frames carry:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+
+from repro.sim.randomness import clamp
 
 __all__ = ["Frame", "ObjectClass", "SceneObject", "TAG_PIXEL_COUNT"]
 
@@ -69,6 +72,16 @@ _CLASS_COLOURS: dict[ObjectClass, tuple[float, float, float]] = {
 }
 
 
+@functools.lru_cache(maxsize=8)
+def _background_gradient(width: int) -> np.ndarray:
+    """The faint background gradient that stands in for the 3D environment,
+    so that frames are never trivially identical.  Shared by every frame of
+    one raster width, hence read-only."""
+    gradient = np.linspace(0.05, 0.15, width)
+    gradient.flags.writeable = False
+    return gradient
+
+
 @dataclass
 class SceneObject:
     """One object visible in a frame, in normalized [0, 1] screen coordinates."""
@@ -86,12 +99,14 @@ class SceneObject:
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
 
-    def advanced(self, dt: float) -> "SceneObject":
-        """The same object after ``dt`` seconds of motion, clamped to the screen."""
+    def advanced(self, dt: float, shift: float = 0.0) -> "SceneObject":
+        """The same object after ``dt`` seconds of motion, clamped to the
+        screen, then shifted sideways by ``shift`` and clamped again."""
+        x = clamp(self.x + self.velocity_x * dt, 0.0, 1.0)
         return SceneObject(
             object_class=self.object_class,
-            x=float(np.clip(self.x + self.velocity_x * dt, 0.0, 1.0)),
-            y=float(np.clip(self.y + self.velocity_y * dt, 0.0, 1.0)),
+            x=clamp(x + shift, 0.0, 1.0),
+            y=clamp(self.y + self.velocity_y * dt, 0.0, 1.0),
             size=self.size,
             velocity_x=self.velocity_x,
             velocity_y=self.velocity_y,
@@ -138,10 +153,7 @@ class Frame:
 
     def _rasterize(self) -> np.ndarray:
         buffer = np.zeros((self.raster_height, self.raster_width, 3), dtype=np.float64)
-        # A faint background gradient stands in for the 3D environment so
-        # that frames are never trivially identical.
-        gradient = np.linspace(0.05, 0.15, self.raster_width)
-        buffer[:, :, 2] = gradient[np.newaxis, :]
+        buffer[:, :, 2] = _background_gradient(self.raster_width)[np.newaxis, :]
         for obj in self.objects:
             self._draw_object(buffer, obj)
         return buffer

@@ -21,7 +21,6 @@ real names:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,15 +32,12 @@ from repro.sim.engine import Environment, Process, SimulationError
 
 __all__ = ["GlContext", "GlQuery"]
 
-_query_ids = itertools.count(1)
-
 
 @dataclass
 class GlQuery:
     """A GL_TIME_ELAPSED query covering one frame's GPU rendering."""
 
     frame_id: int
-    query_id: int
     submitted_at: float
     result_ready_at: Optional[float] = None
     gpu_time: Optional[float] = None
@@ -68,7 +64,6 @@ class GlContext:
         self.base_render_time_s = base_render_time_s
         self._pending_renders: dict[int, Process] = {}
         self._completed_jobs: dict[int, GpuRenderJob] = {}
-        self.queries: list[GlQuery] = []
         self.frames_submitted = 0
         self.frames_read_back = 0
 
@@ -87,9 +82,7 @@ class GlContext:
             self.framebuffer.attach_back(frame)
         query: Optional[GlQuery] = None
         if with_query:
-            query = GlQuery(frame_id=frame.frame_id, query_id=next(_query_ids),
-                            submitted_at=self.env.now)
-            self.queries.append(query)
+            query = GlQuery(frame_id=frame.frame_id, submitted_at=self.env.now)
 
         process = self.env.process(self._render(frame, query))
         self._pending_renders[frame.frame_id] = process
@@ -101,6 +94,9 @@ class GlContext:
             nominal_time=frame.complexity * self._base_render_time(),
             work_units=frame.complexity)
         self._completed_jobs[frame.frame_id] = job
+        # Waiters treat a missing entry like a finished process.
+        if self._pending_renders.get(frame.frame_id) is self.env.active_process:
+            del self._pending_renders[frame.frame_id]
         self.framebuffer.swap()
         if query is not None:
             query.gpu_time = job.gpu_time
@@ -133,8 +129,8 @@ class GlContext:
         if size_bytes < 0:
             raise SimulationError("upload size cannot be negative")
         if size_bytes == 0:
-            return None
-        return (yield from self.pcie.transfer(size_bytes, direction="to_gpu"))
+            return
+        yield from self.pcie.transfer(size_bytes, direction="to_gpu")
 
     # -- query results -------------------------------------------------------------
     def get_query_result(self, query: GlQuery, blocking: bool = True):

@@ -175,12 +175,11 @@ class CpuThread:
         stretch = max(actual / nominal, 1.0) if nominal > 0 else 1.0
         extra_backend = 1.0 - 1.0 / stretch
         scale = 1.0 - extra_backend
-        self.cycles.add(CycleBreakdown(
-            retiring=cycles * profile.base_retiring * scale,
-            frontend_bound=cycles * profile.base_frontend * scale,
-            bad_speculation=cycles * profile.base_bad_speculation * scale,
-            backend_bound=cycles * (base_backend * scale + extra_backend),
-        ))
+        total = self.cycles
+        total.retiring += cycles * profile.base_retiring * scale
+        total.frontend_bound += cycles * profile.base_frontend * scale
+        total.bad_speculation += cycles * profile.base_bad_speculation * scale
+        total.backend_bound += cycles * (base_backend * scale + extra_backend)
 
     def utilization(self, elapsed: float) -> float:
         """Average core occupancy over ``elapsed`` seconds (1.0 == one core)."""
@@ -201,7 +200,6 @@ class Cpu:
         self._active_demand = 0.0
         self._last_change = env.now
         self._demand_integral = 0.0
-        self._peak_demand = 0.0
 
     # -- thread management ---------------------------------------------------
     def thread(self, name: str, owner: str = "") -> CpuThread:
@@ -229,7 +227,6 @@ class Cpu:
     def _begin_work(self, demand: float) -> None:
         self._integrate()
         self._active_demand += demand
-        self._peak_demand = max(self._peak_demand, self._active_demand)
         if self.memory is not None:
             self.memory.register_pressure(demand)
 
@@ -287,7 +284,3 @@ class Cpu:
             if owner is None or thread.owner == owner:
                 total.add(thread.cycles)
         return total
-
-    @property
-    def peak_demand(self) -> float:
-        return self._peak_demand

@@ -91,7 +91,6 @@ class RenderContext:
         self.l2_misses = 0.0
         self.texture_accesses = 0.0
         self.texture_misses = 0.0
-        self.jobs: list[GpuRenderJob] = []
 
     # -- rendering -------------------------------------------------------------
     def render(self, nominal_time: float, work_units: float = 1.0):
@@ -122,7 +121,6 @@ class RenderContext:
     def _account(self, job: GpuRenderJob, work_units: float) -> None:
         self.frames_rendered += 1
         self.gpu_busy_time += job.gpu_time
-        self.jobs.append(job)
         # Cache traffic grows with the frame's work units.
         l2_accesses = 1e5 * work_units
         texture_accesses = 4e4 * work_units

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.sim.engine import Environment, SimulationError
 
-__all__ = ["PcieBus", "PcieSpec", "PcieTransfer"]
+__all__ = ["PcieBus", "PcieSpec"]
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,6 @@ class PcieSpec:
     @property
     def bandwidth_bytes_per_s(self) -> float:
         return self.bandwidth_gbps * 1e9
-
-
-@dataclass
-class PcieTransfer:
-    """Record of one completed DMA transfer."""
-
-    direction: str          # "to_gpu" or "from_gpu"
-    size_bytes: float
-    started_at: float
-    finished_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
 
 
 class PcieBus:
@@ -59,18 +45,16 @@ class PcieBus:
         self.env = env
         self.spec = spec or PcieSpec()
         self._active_transfers = 0
-        self.transfers: list[PcieTransfer] = []
         self.bytes_by_direction: dict[str, float] = {d: 0.0 for d in self.VALID_DIRECTIONS}
 
     def transfer(self, size_bytes: float, direction: str):
-        """Generator performing one DMA transfer; returns the record."""
+        """Generator performing one DMA transfer."""
         if direction not in self.VALID_DIRECTIONS:
             raise SimulationError(
                 f"direction must be one of {self.VALID_DIRECTIONS}, got {direction!r}")
         if size_bytes < 0:
             raise SimulationError(f"transfer size cannot be negative: {size_bytes}")
 
-        started = self.env.now
         self._active_transfers += 1
         try:
             share = max(1, self._active_transfers)
@@ -80,11 +64,7 @@ class PcieBus:
         finally:
             self._active_transfers = max(0, self._active_transfers - 1)
 
-        record = PcieTransfer(direction=direction, size_bytes=size_bytes,
-                              started_at=started, finished_at=self.env.now)
-        self.transfers.append(record)
         self.bytes_by_direction[direction] += size_bytes
-        return record
 
     # -- reporting -------------------------------------------------------------
     def bandwidth_usage(self, direction: str, elapsed: Optional[float] = None) -> float:

@@ -9,11 +9,31 @@ experiment seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 
 import numpy as np
 
-__all__ = ["RandomStreams", "StreamRandom"]
+__all__ = ["RandomStreams", "StreamRandom", "clamp"]
+
+
+def clamp(x: float, low: float, high: float) -> float:
+    """Exactly ``float(np.clip(x, low, high))`` for a scalar ``x`` and non-NaN
+    bounds, without numpy's per-call dispatch: a NaN ``x`` passes through,
+    a value equal to a bound is kept and ``low > high`` gives ``high``."""
+    if x < low:
+        x = low
+    if high < x:
+        x = high
+    return float(x)
+
+
+@functools.lru_cache(maxsize=64)
+def _lognormal_shape(cv: float):
+    """``(sigma², sigma)`` of the log-normal with coefficient of variation ``cv``."""
+    sigma2 = np.log(1.0 + cv * cv)
+    return sigma2, np.sqrt(sigma2)
 
 
 class StreamRandom:
@@ -33,7 +53,12 @@ class StreamRandom:
         return float(self._rng.random())
 
     def uniform(self, low: float, high: float) -> float:
-        return float(self._rng.uniform(low, high))
+        # Generator.uniform's checks and formula, without its dispatch.
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"uniform needs a finite high - low >= 0, "
+                             f"got low={low}, high={high}")
+        return float(low + span * self._rng.random())
 
     def integers(self, low: int, high: int) -> int:
         return int(self._rng.integers(low, high))
@@ -62,7 +87,7 @@ class StreamRandom:
         Clipping (rather than rejection sampling) keeps the draw count per
         call constant, which keeps streams aligned across configurations.
         """
-        return float(np.clip(self._rng.normal(mean, std), low, high))
+        return clamp(self._rng.normal(mean, std), low, high)
 
     def lognormal_mean_cv(self, mean: float, cv: float) -> float:
         """Log-normal draw parameterized by mean and coefficient of variation."""
@@ -70,9 +95,9 @@ class StreamRandom:
             raise ValueError(f"mean must be positive, got {mean}")
         if cv <= 0:
             return float(mean)
-        sigma2 = np.log(1.0 + cv * cv)
+        sigma2, sigma = _lognormal_shape(cv)
         mu = np.log(mean) - sigma2 / 2.0
-        return float(self._rng.lognormal(mu, np.sqrt(sigma2)))
+        return float(self._rng.lognormal(mu, sigma))
 
     def jitter(self, value: float, fraction: float) -> float:
         """``value`` scaled by a uniform factor in ``[1 - f, 1 + f]``."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graphics.frame import Frame, ObjectClass, SceneObject, TAG_PIXEL_COUNT
+from repro.graphics.frame import (Frame, ObjectClass, SceneObject, TAG_PIXEL_COUNT,
+                                  _background_gradient)
 
 
 def make_frame(**kwargs):
@@ -28,6 +29,20 @@ def test_objects_change_pixels():
     empty = Frame()
     populated = make_frame()
     assert populated.pixel_difference(empty) > 0.0
+
+
+def test_background_gradient_is_shared_read_only():
+    """Every frame of one raster width copies the same cached gradient, so
+    writing into one frame's pixels must leave the cache alone."""
+    gradient = np.linspace(0.05, 0.15, 64)
+    first = Frame()
+    first.pixels[:, :, 2] = 1.0
+    second = Frame()
+    assert np.array_equal(second.pixels[:, :, 2],
+                          np.broadcast_to(gradient, (36, 64)))
+    assert not _background_gradient(64).flags.writeable
+    with pytest.raises(ValueError):
+        _background_gradient(64)[0] = 1.0
 
 
 def test_pixel_difference_is_zero_for_identical_objects():

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.hooks import HOOK_HISTORY
 from repro.core.pictor import PictorConfig
+from repro.scenarios import ExperimentConfig, Scenario
 from repro.server.host import CloudHost, HostConfig
 
 
@@ -90,3 +92,21 @@ def test_measurement_disabled_host_reports_fps_only():
     report = result.reports[0]
     assert report.server_fps > 10
     assert report.rtt.count == 0        # no tracking without instrumentation
+
+
+def test_per_event_records_stay_bounded_over_a_run():
+    """PCIe transfers, GPU jobs, GL queries and hook fires leave no
+    per-event list behind: the hook history is capped and only renders
+    still in flight stay pending."""
+    config = ExperimentConfig.quick()
+    host = Scenario.single("RE", config=config).build_host()
+    host.run(duration=config.duration_s, warmup=config.warmup_s)
+    session = host.sessions[0]
+    assert session.hooks.total_fires() > HOOK_HISTORY
+    assert len(session.hooks.events) <= HOOK_HISTORY
+    pending = session.gl._pending_renders.values()
+    assert all(process.is_alive for process in pending)
+    assert len(pending) < 5
+    for component in (host.machine.pcie, session.render_context, session.gl):
+        assert not [name for name, value in vars(component).items()
+                    if isinstance(value, list)], component

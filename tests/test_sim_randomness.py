@@ -1,9 +1,86 @@
 """Tests for the seeded random-stream helpers."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.randomness import RandomStreams, StreamRandom
+from repro.sim.randomness import RandomStreams, StreamRandom, clamp
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+bounds = st.floats(allow_nan=False)
+scalars = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats().map(np.float64))
+
+
+def same_float(ours, reference: float) -> bool:
+    """``ours`` is a Python float with exactly ``reference``'s bits."""
+    return (type(ours) is float
+            and struct.pack("<d", ours) == struct.pack("<d", reference))
+
+
+# -- bit-equality with numpy ----------------------------------------------------------
+
+@settings(max_examples=500)
+@given(scalars, st.one_of(bounds, st.sampled_from([0.0, -0.0])),
+       st.one_of(bounds, st.sampled_from([0.0, -0.0])))
+def test_clamp_is_numpy_clip_bit_for_bit(x, low, high):
+    assert same_float(clamp(x, low, high), float(np.clip(x, low, high)))
+
+
+@given(scalars, bounds)
+def test_clamp_with_equal_bounds_is_numpy_clip(x, bound):
+    assert same_float(clamp(x, bound, bound), float(np.clip(x, bound, bound)))
+
+
+def test_clamp_edge_cases():
+    assert same_float(clamp(-0.0, 0.0, 1.0), -0.0)
+    assert same_float(clamp(0.0, -0.0, 1.0), 0.0)
+    assert np.isnan(clamp(float("nan"), 0.0, 1.0))
+    assert same_float(clamp(np.float64(2.5), 0.0, 1.0), 1.0)
+    assert same_float(clamp(5, 1.0, 0.0), 0.0)
+
+
+@given(seeds, finite, finite)
+def test_uniform_matches_numpy_draw_for_draw(seed, low, high):
+    ours, reference = StreamRandom(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        try:
+            expected = float(reference.uniform(low, high))
+        except (ValueError, OverflowError):
+            with pytest.raises(ValueError):
+                ours.uniform(low, high)
+        else:
+            assert same_float(ours.uniform(low, high), expected)
+        assert ours._rng.bit_generator.state == reference.bit_generator.state
+
+
+@given(seeds, st.floats(min_value=1e-9, max_value=1e9),
+       st.floats(min_value=1e-6, max_value=10.0))
+def test_lognormal_mean_cv_matches_numpy_draw_for_draw(seed, mean, cv):
+    ours, reference = StreamRandom(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        sigma2 = np.log(1.0 + cv * cv)
+        mu = np.log(mean) - sigma2 / 2.0
+        expected = float(reference.lognormal(mu, np.sqrt(sigma2)))
+        assert same_float(ours.lognormal_mean_cv(mean, cv), expected)
+        assert ours._rng.bit_generator.state == reference.bit_generator.state
+
+
+@given(seeds, st.floats(min_value=-1e6, max_value=1e6),
+       st.floats(min_value=0.0, max_value=1e6), bounds, bounds)
+def test_truncated_normal_matches_numpy_draw_for_draw(seed, mean, std, low, high):
+    ours, reference = StreamRandom(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        expected = float(np.clip(reference.normal(mean, std), low, high))
+        assert same_float(ours.truncated_normal(mean, std, low, high), expected)
+        assert ours._rng.bit_generator.state == reference.bit_generator.state
+
+
+# -- behaviour ------------------------------------------------------------------------
 
 
 def test_same_seed_reproduces_sequence():
