@@ -21,14 +21,16 @@ Execution backends are selectable (``--backend serial|parallel|
 distributed|socket``); the distributed backend submits jobs to a
 shared-filesystem work queue (``--queue DIR``) drained by standalone
 workers, and the socket backend talks to a TCP queue server instead, so
-workers need only network reach::
+workers need only network reach (``serve`` binds 127.0.0.1 unless
+``--host`` says otherwise: the transport is unauthenticated pickle, so
+expose it only on a trusted network)::
 
     PYTHONPATH=src python -m repro.experiments worker --queue /shared/q &
     PYTHONPATH=src python -m repro.experiments scenario RE+ITP+D2 \
         --backend distributed --queue /shared/q --workers 2
 
     PYTHONPATH=src python -m repro.experiments serve --queue /srv/q \
-        --port 7781 &
+        --host 0.0.0.0 --port 7781 &
     PYTHONPATH=src python -m repro.experiments worker \
         --addr host:7781 &
     PYTHONPATH=src python -m repro.experiments scenario RE+ITP+D2 \
@@ -565,8 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue", required=True, metavar="DIR",
                        help="work-queue directory to serve (created on "
                             "demand)")
-    serve.add_argument("--host", default="0.0.0.0", metavar="HOST",
-                       help="interface to bind (default: all interfaces)")
+    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
+                       help="interface to bind (default 127.0.0.1; the "
+                            "transport is unauthenticated pickle, so a "
+                            "non-loopback address such as 0.0.0.0 lets "
+                            "anyone who reaches the port run code here, "
+                            "and the server logs a warning saying so)")
     serve.add_argument("--port", type=int, default=7781, metavar="N",
                        help="TCP port to bind (default 7781; 0 = any free "
                             "port)")

@@ -22,8 +22,6 @@ directly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -36,6 +34,8 @@ from repro.scenarios.scenario import (
     Placement,
     Scenario,
     SeedPolicy,
+    canonical_hash,
+    hashed_content,
 )
 from repro.scenarios.variants import SessionVariant
 from repro.server.host import CloudHost, HostResult
@@ -217,15 +217,14 @@ class ExperimentJob:
     # -- identity ---------------------------------------------------------------------
     def key(self) -> str:
         """Content hash identifying this job's result in the cache."""
-        payload = {
-            "kind": self.kind,
-            "duration": self.duration,
-            "scenario": {key: value
-                         for key, value in self.scenario.to_dict().items()
-                         if key != "schema"},
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self.key_for(hashed_content(self.scenario.to_dict()))
+
+    def key_for(self, scenario_content: dict) -> str:
+        """:meth:`key` from the scenario's already-built
+        :func:`~repro.scenarios.scenario.hashed_content` (a writer that
+        also stores the scenario dict builds it once)."""
+        return canonical_hash({"kind": self.kind, "duration": self.duration,
+                               "scenario": scenario_content})
 
     def describe(self) -> str:
         """A short human-readable label for progress output."""

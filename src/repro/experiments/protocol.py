@@ -28,12 +28,17 @@ interface — SUBMIT / CLAIM / COMPLETE / FAIL / HEARTBEAT / COUNTS /
 REQUEUE, the result-query messages and COMPLETED_SINCE, the long-polled
 completion feed — and every request is answered by exactly one OK
 (payload: the reply) or ERROR (payload: the remote failure description)
-frame.
+frame.  CLAIM and COMPLETE carry either one job or a server-sized batch
+(see :mod:`repro.experiments.server`); the frame types are the same
+either way, so batching needed no new type and no version bump.
 
 Payloads are pickled, exactly like the jobs the
 :class:`~repro.experiments.queue.DirectoryQueue` already writes to its
 shared directory: the transport carries the same trusted-cluster traffic
-the shared filesystem did, only over TCP.
+the shared filesystem did, only over TCP.  Nothing authenticates a
+peer, and :func:`decode_frame` unpickles whatever arrives, so whoever
+can reach a server's port can run code on its host; the ``serve`` CLI
+binds loopback by default for that reason.
 """
 
 from __future__ import annotations

@@ -41,9 +41,11 @@ The directory protocol::
   journal in ``PERSIST`` mode + a busy timeout coordinate concurrent
   workers, including workers on other machines — with the usual SQLite
   caveat that the shared filesystem's advisory locking must work) and
-  removes the claim.  :meth:`DirectoryQueue.record_result` and
+  removes the claim.  :meth:`DirectoryQueue.record_results` and
   :meth:`DirectoryQueue.record_failure` are the only writers of the two
-  outcomes; local workers and the queue server both call them.
+  outcomes; local workers and the queue server both call them.  A batch
+  of results (a socket worker's whole claim batch) commits as one
+  transaction and releases its claims with one scan of ``claimed/``.
 * **The completion feed** is a ``completions`` table in the same
   database: an ``AUTOINCREMENT`` sequence with one row per result row
   written (appended by a trigger on ``results``, in the writing
@@ -83,7 +85,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.experiments.jobs import ExperimentJob
-from repro.experiments.store import ResultStore, atomic_write_bytes
+from repro.experiments.store import ResultStore, atomic_write_bytes, build_entry
 
 __all__ = ["ClaimedJob", "DirectoryQueue", "QueueCounts", "WorkQueue",
            "default_worker_id", "format_error"]
@@ -165,6 +167,28 @@ class WorkQueue(abc.ABC):
     @abc.abstractmethod
     def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
         """Exclusively claim the highest-priority pending job, or None."""
+
+    def claim_many(self, worker_id: Optional[str] = None,
+                   limit: Optional[int] = None) -> list[ClaimedJob]:
+        """Exclusively claim a batch of pending jobs (empty: none pending).
+
+        The transport sizes the batch, never above ``limit``; this base
+        version claims one job, which is every batch on the directory
+        transport.  The queue server sizes socket batches from its cost
+        model (see :mod:`repro.experiments.server`).
+        """
+        claimed = self.claim(worker_id)
+        return [] if claimed is None else [claimed]
+
+    def complete_many(self, completions: Sequence[
+            tuple[ClaimedJob, object, Optional[float]]]) -> None:
+        """:meth:`complete` every ``(claimed, result, runtime_s)``.
+
+        Transports override it to report a whole batch at once (one
+        frame and one result transaction on the socket transport).
+        """
+        for claimed, result, runtime_s in completions:
+            self.complete(claimed, result, runtime_s=runtime_s)
 
     def heartbeat(self, worker_id: str,
                   keys: Optional[Sequence[str]] = None) -> list[str]:
@@ -501,8 +525,10 @@ class DirectoryQueue(WorkQueue):
             refreshed.append(key)
         return refreshed
 
-    def release_claim(self, key: str, worker_id: str) -> bool:
-        """Drop the claim ``worker_id`` holds on ``key`` (idempotent).
+    def release_claims(self, keys: Sequence[str],
+                       worker_id: str) -> list[str]:
+        """Drop the claims ``worker_id`` holds on ``keys`` with one scan
+        of ``claimed/`` (idempotent); returns the keys released.
 
         The last step of every outcome: once it is recorded, the claim
         file — if a requeue has not already taken it — is removed.  (A
@@ -512,33 +538,43 @@ class DirectoryQueue(WorkQueue):
         worker = _SAFE_ID.sub("_", worker_id) if worker_id \
             else default_worker_id()
         suffix = f"@{worker}"
+        wanted = set(keys)
+        released = []
         for path in self.claimed_dir.iterdir():
-            if path.name.endswith(suffix) and self._key_of(path.name) == key:
-                path.unlink(missing_ok=True)
-                return True
-        return False
+            if path.name.endswith(suffix):
+                key = self._key_of(path.name)
+                if key in wanted:
+                    path.unlink(missing_ok=True)
+                    released.append(key)
+        return released
 
-    def record_result(self, key: str, worker_id: str, job: ExperimentJob,
-                      result, runtime_s: Optional[float] = None,
-                      claim_path: Optional[Path] = None) -> None:
-        """Store a job's result and release its claim, from the wire
-        form of a completion (the local :meth:`complete` and the queue
-        server both land here).  The result row's insert trigger
-        appends it to the completion feed in the same transaction.
+    def record_results(self, worker_id: str, completions: Sequence[
+            tuple[str, ExperimentJob, object, Optional[float]]],
+                       claim_paths: Optional[Sequence[Path]] = None
+                       ) -> None:
+        """Store a batch of results and release their claims, from the
+        wire form of a completion: ``(key, job, result, runtime_s)``
+        each.  The local :meth:`complete` (a batch of one) and the queue
+        server both land here.  Every row, and the feed row its insert
+        trigger appends, commits in one transaction; the claims are
+        released after it.
 
-        ``claim_path`` is the claim file when the caller holds it (a
-        local claim); without it the claim is looked up by key and
-        worker (:meth:`release_claim`)."""
-        self.results.put(job, result, runtime_s=runtime_s)
-        self._release(key, worker_id, claim_path)
+        ``claim_paths`` are the claim files when the caller holds them
+        (a local claim); without them the claims are found by key and
+        worker in one scan (:meth:`release_claims`)."""
+        self.results.put_entries([
+            build_entry(job, result, runtime_s=runtime_s)
+            for _, job, result, runtime_s in completions])
+        self._release([key for key, *_ in completions], worker_id,
+                      claim_paths)
 
     def record_failure(self, key: str, worker_id: str, error_repr: str,
                        traceback_text: str = "",
                        claim_path: Optional[Path] = None) -> None:
         """Write a failure marker, announce it on the completion feed
         and release the claim, from already-formatted error text (the
-        form a failure crosses the wire in).  ``claim_path`` as for
-        :meth:`record_result`."""
+        form a failure crosses the wire in).  ``claim_path`` is the
+        claim file, as for :meth:`record_results`."""
         marker = {
             "key": key,
             "worker": worker_id,
@@ -548,14 +584,16 @@ class DirectoryQueue(WorkQueue):
         atomic_write_bytes(self.root, self.failed_dir / f"{key}.json",
                            json.dumps(marker, indent=2).encode("utf-8"))
         self._append_feed([key], "failure")
-        self._release(key, worker_id, claim_path)
+        self._release([key], worker_id,
+                      None if claim_path is None else [claim_path])
 
-    def _release(self, key: str, worker_id: str,
-                 claim_path: Optional[Path]) -> None:
-        if claim_path is None:
-            self.release_claim(key, worker_id)
-        else:
-            claim_path.unlink(missing_ok=True)
+    def _release(self, keys: Sequence[str], worker_id: str,
+                 claim_paths: Optional[Sequence[Path]]) -> None:
+        if claim_paths is None:
+            self.release_claims(keys, worker_id)
+            return
+        for path in claim_paths:
+            path.unlink(missing_ok=True)
 
     def claim(self, worker_id: Optional[str] = None,
               key: Optional[str] = None) -> Optional[ClaimedJob]:
@@ -607,8 +645,9 @@ class DirectoryQueue(WorkQueue):
 
     def complete(self, claimed: ClaimedJob, result,
                  runtime_s: Optional[float] = None) -> None:
-        self.record_result(claimed.key, claimed.worker_id, claimed.job,
-                           result, runtime_s, claim_path=claimed.path)
+        self.record_results(
+            claimed.worker_id, [(claimed.key, claimed.job, result, runtime_s)],
+            claim_paths=None if claimed.path is None else [claimed.path])
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
         self.record_failure(claimed.key, claimed.worker_id,

@@ -17,7 +17,7 @@ left them, so
   directory as found, re-registers the workers named in the claim files,
   and carries on.
 
-Three things are layered on top of the directory protocol:
+Four things are layered on top of the directory protocol:
 
 **Worker liveness.**  Workers heartbeat (:class:`MessageType.HEARTBEAT`)
 every couple of seconds, naming the claims they are actually executing.
@@ -38,6 +38,22 @@ with the largest estimate (ties and unknown-cost jobs fall back to
 priority order).  Ordering never changes a result — only how well the
 fleet is packed.
 
+**Server-sized batches.**  A worker's CLAIM may ask for a batch
+(``"batch": True``, optionally ``"max": N``), and its COMPLETE may carry
+a whole batch's ``"results"``.  The server sizes each batch from what it
+already observes: it takes pending jobs in claim order until their
+calibrated estimates reach :data:`BATCH_BUDGET_S` (about 50 ms of
+work), and never more than ``ceil(pending / (2 x live workers))`` —
+guided self-scheduling (Polychronopoulos & Kuck, 1987), so the tail of
+a drain stays balanced across workers.  An uncalibrated model (no
+runtime observed yet), a job with no estimate, or a job estimated at
+the budget or more gives a batch of one, so long jobs drain exactly as
+they would unbatched.  A batch COMPLETE is recorded by
+:meth:`~repro.experiments.queue.DirectoryQueue.record_results`: every
+row and feed row in one SQLite transaction, every claim released by one
+scan of ``claimed/``.  A single-job CLAIM or COMPLETE (what clients
+that predate batches send) is a batch of one on the same path.
+
 **A long-polled completion feed.**  ``COMPLETED_SINCE`` serves
 :meth:`~repro.experiments.queue.DirectoryQueue.completed_since`: the
 keys that completed or failed after the submitter's cursor.  With none
@@ -51,11 +67,20 @@ results it lists, so a draining submitter needs no RESULT request per
 job.  The feed's cursor is a sequence number in the queue database, so a
 submitter that reconnects to a restarted server resumes exactly where
 it left off.
+
+**Exposure.**  Frames are pickles and nothing authenticates a client
+(see :mod:`repro.experiments.protocol`), so whoever can reach the port
+can run code on this host.  The ``serve`` CLI therefore binds
+``127.0.0.1`` unless told otherwise, and a server bound to any
+non-loopback address logs one warning when it starts (grep for
+``"is reachable from other hosts"``).
 """
 
 from __future__ import annotations
 
+import ipaddress
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -71,7 +96,7 @@ from repro.experiments.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.experiments.queue import FEED_POLL_S, DirectoryQueue
+from repro.experiments.queue import FEED_POLL_S, ClaimedJob, DirectoryQueue
 
 __all__ = ["QueueServer"]
 
@@ -82,6 +107,17 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 15.0
 
 #: How often the sweeper checks heartbeats and stale leases.
 DEFAULT_SWEEP_INTERVAL_S = 1.0
+
+#: Estimated work a batched CLAIM hands out, in wall seconds (see the
+#: module docstring).
+BATCH_BUDGET_S = 0.05
+
+
+def _is_loopback(host: str) -> bool:
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:  # a host name the socket layer resolved
+        return host == "localhost"
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -192,6 +228,14 @@ class QueueServer:
             thread.start()
             self._threads.append(thread)
         logger.info("queue server listening on %s (queue: %s)", self.address, self.queue.root)
+        if not _is_loopback(self.host):
+            # THE documented exposure line (see the module docstring).
+            logger.warning(
+                "queue server on %s is reachable from other hosts: its transport is "
+                "unauthenticated and unpickles every frame, so anyone who can reach "
+                "the port can run code as this user",
+                self.address,
+            )
         return self
 
     def serve_forever(self) -> None:
@@ -320,30 +364,74 @@ class QueueServer:
         self._pending = deque((key, path) for _, _, key, path in ranked)
         self._pending_dirty = False
 
-    def _op_claim(self, payload: dict) -> dict:
-        worker = payload.get("worker")
-        self._mark_alive(worker)
-        while True:
+    def _claim_batch(self, worker: Optional[str], limit: Optional[int]) -> list[ClaimedJob]:
+        """Claim the next batch, sized as the module docstring says.
+
+        ``limit`` caps the count further (1 for a single-job CLAIM).
+        A job estimated at the budget or more, or with no estimate,
+        only ever heads a batch, so it goes alone.
+        """
+        if self._pending_dirty or not self._pending:
+            self._refresh_pending()
+        model = self._calibration.model()
+        calibrated = bool(model.rates)
+        cap = math.ceil(len(self._pending) / (2 * max(1, len(self._workers))))
+        if limit is not None:
+            cap = min(cap, limit)
+        claims: list[ClaimedJob] = []
+        work_s = 0.0
+        while len(claims) < max(1, cap) and work_s < BATCH_BUDGET_S:
             if self._pending_dirty or not self._pending:
                 self._refresh_pending()
                 if not self._pending:
-                    return {"claimed": None}
-            key, path = self._pending.popleft()
+                    break
+            key, path = self._pending[0]
+            info = self._costs.get(key)
+            estimate = (
+                model.estimate_units(*info) if calibrated and info is not None else math.inf
+            )
+            if claims and estimate >= BATCH_BUDGET_S:
+                break
+            self._pending.popleft()
             claimed = self.queue.claim_file(path, worker)
-            if claimed is not None:
-                claim = {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}
-                return {"claimed": claim}
-            # A directory worker raced us to that file (or it was
-            # corrupt and became a failure marker); try the next one.
+            if claimed is None:
+                # A directory worker raced us to that file (or it was
+                # corrupt and became a failure marker); try the next one.
+                continue
+            claims.append(claimed)
+            work_s += estimate
+        return claims
+
+    def _op_claim(self, payload: dict) -> dict:
+        worker = payload.get("worker")
+        self._mark_alive(worker)
+        batch = payload.get("batch", False)
+        claims = [
+            {"key": claimed.key, "job": claimed.job, "worker": claimed.worker_id}
+            for claimed in self._claim_batch(worker, payload.get("max") if batch else 1)
+        ]
+        if batch:
+            return {"claimed": claims}
+        # The single-job form: what clients that predate batches expect.
+        return {"claimed": claims[0] if claims else None}
 
     def _op_complete(self, payload: dict) -> dict:
         worker = payload.get("worker")
         self._mark_alive(worker)
-        job = payload["job"]
-        runtime_s = payload.get("runtime_s")
-        self.queue.record_result(payload["key"], worker, job, payload["result"], runtime_s)
-        self._calibration.observe(job.kind, job.cost_units(), runtime_s)
-        self._costs.pop(payload["key"], None)
+        # A batch carries "results"; a single-job COMPLETE is its own
+        # one-result batch.
+        completions = payload.get("results") or [payload]
+        self.queue.record_results(
+            worker,
+            [
+                (done["key"], done["job"], done["result"], done.get("runtime_s"))
+                for done in completions
+            ],
+        )
+        for done in completions:
+            job = done["job"]
+            self._calibration.observe(job.kind, job.cost_units(), done.get("runtime_s"))
+            self._costs.pop(done["key"], None)
         self._feed_grew.notify_all()
         return {}
 

@@ -17,16 +17,25 @@ exhausted.  Retrying is safe for every request type:
 
 * SUBMIT, COMPLETE, FAIL, HEARTBEAT, REQUEUE and the queries are
   idempotent (re-submitting a key is a no-op; re-storing a result writes
-  the byte-identical row).  COMPLETED_SINCE is a read at the caller's
-  cursor, which lives in the queue database: a retry against a
-  restarted server returns the same keys, plus any that completed
-  meanwhile.
+  the byte-identical row, and a retried batch COMPLETE rewrites every
+  row of the batch and announces its keys on the feed again).
+  COMPLETED_SINCE is a read at the caller's cursor, which lives in the
+  queue database: a retry against a restarted server returns the same
+  keys, plus any that completed meanwhile.
 * CLAIM is the one non-idempotent request: if the server applied a claim
-  but the response was lost, the retry claims a *different* job and the
-  first claim is orphaned.  Orphans are never refreshed — heartbeats
-  name only the keys the worker is actually executing — so the ordinary
-  lease expiry requeues them.  Delivery stays at-least-once, and
-  at-least-once is safe because job execution is deterministic.
+  but the response was lost, the retry claims *different* jobs and the
+  first claim — every job of a lost batch — is orphaned.  Orphans are
+  never refreshed — heartbeats name only the keys the worker actually
+  holds — so the ordinary lease expiry requeues them.  Delivery stays
+  at-least-once, and at-least-once is safe because job execution is
+  deterministic.
+
+**Batches.**  :meth:`SocketQueue.claim_many` asks the server for a
+batch it sizes itself (see :mod:`repro.experiments.server`) and
+:meth:`SocketQueue.complete_many` reports a batch in one COMPLETE frame.
+Both degrade to the single-job frames against a server that predates
+batches: its CLAIM reply is one job, and a batch of one is sent in the
+single-job COMPLETE form.
 
 A server-side failure (the server answered, with an ERROR frame) raises
 :class:`QueueRemoteError` and is **not** retried — the request arrived
@@ -233,16 +242,19 @@ class SocketQueue(WorkQueue):
 
     # -- worker side ------------------------------------------------------------------
     def claim(self, worker_id: Optional[str] = None) -> Optional[ClaimedJob]:
-        reply = self._request(MessageType.CLAIM, {"worker": worker_id})
-        claimed = reply["claimed"]
-        if claimed is None:
-            return None
-        return ClaimedJob(
-            key=claimed["key"],
-            job=claimed["job"],
-            worker_id=claimed["worker"],
-            path=None,  # the server holds the claim file
-        )
+        claimed = self._request(MessageType.CLAIM, {"worker": worker_id})["claimed"]
+        return None if claimed is None else _claimed_job(claimed)
+
+    def claim_many(
+        self, worker_id: Optional[str] = None, limit: Optional[int] = None
+    ) -> list[ClaimedJob]:
+        claimed = self._request(
+            MessageType.CLAIM, {"worker": worker_id, "batch": True, "max": limit}
+        )["claimed"]
+        if claimed is None or isinstance(claimed, dict):
+            # A server that predates batches answers in the single form.
+            claimed = [] if claimed is None else [claimed]
+        return [_claimed_job(claim) for claim in claimed]
 
     def heartbeat(self, worker_id: str, keys: Optional[Sequence[str]] = None) -> list[str]:
         return self._request(
@@ -251,16 +263,23 @@ class SocketQueue(WorkQueue):
         )["refreshed"]
 
     def complete(self, claimed: ClaimedJob, result, runtime_s: Optional[float] = None) -> None:
-        self._request(
-            MessageType.COMPLETE,
-            {
-                "key": claimed.key,
-                "worker": claimed.worker_id,
-                "job": claimed.job,
-                "result": result,
-                "runtime_s": runtime_s,
-            },
-        )
+        self._request(MessageType.COMPLETE, _completion(claimed, result, runtime_s))
+
+    def complete_many(
+        self, completions: Sequence[tuple[ClaimedJob, object, Optional[float]]]
+    ) -> None:
+        if len(completions) == 1:
+            # The single-job frame: every server understands it, and a
+            # server that predates batches only ever hands out one.
+            self.complete(*completions[0])
+        elif completions:
+            self._request(
+                MessageType.COMPLETE,
+                {
+                    "worker": completions[0][0].worker_id,
+                    "results": [_completion(*done) for done in completions],
+                },
+            )
 
     def fail(self, claimed: ClaimedJob, error: BaseException) -> None:
         error_repr, traceback_text = format_error(error)
@@ -279,6 +298,22 @@ class SocketQueue(WorkQueue):
         """A store adapter serving trained-agent artefacts over the wire
         (the socket analogue of :meth:`DirectoryQueue.artifact_store`)."""
         return _SocketArtifactStore(self)
+
+
+def _claimed_job(claim: dict) -> ClaimedJob:
+    # The server holds the claim file, so the client's claim has no path.
+    return ClaimedJob(key=claim["key"], job=claim["job"], worker_id=claim["worker"], path=None)
+
+
+def _completion(claimed: ClaimedJob, result, runtime_s: Optional[float]) -> dict:
+    """One job's COMPLETE payload (a batch carries a list of them)."""
+    return {
+        "key": claimed.key,
+        "worker": claimed.worker_id,
+        "job": claimed.job,
+        "result": result,
+        "runtime_s": runtime_s,
+    }
 
 
 class _SocketArtifactStore:

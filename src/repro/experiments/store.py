@@ -72,9 +72,10 @@ import time
 from dataclasses import dataclass, field, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.experiments.jobs import CACHE_SCHEMA_VERSION
+from repro.scenarios.scenario import canonical_hash, hashed_content
 
 if TYPE_CHECKING:
     from repro.experiments.jobs import ExperimentJob
@@ -234,13 +235,18 @@ def build_entry(job: "ExperimentJob", result,
     cross-backend equivalence tests compare byte-for-byte after
     pickling — cannot diverge between backends.
     """
+    # One scenario dict per entry: the key and the scenario hash are
+    # both derived from it (on the socket path this runs under the queue
+    # server's lock for every job).
+    scenario = job.scenario.to_dict()
+    content = hashed_content(scenario)
     return {
         "schema": CACHE_SCHEMA_VERSION,
-        "key": job.key(),
+        "key": job.key_for(content),
         "kind": job.kind,
         "duration": job.duration,
-        "scenario": job.scenario.to_dict(),
-        "scenario_hash": job.scenario.content_hash(),
+        "scenario": scenario,
+        "scenario_hash": canonical_hash(content),
         # Explicit fidelity stamp: fast-forwarded results carry the flag
         # at the top level (not just inside the scenario dict), so no
         # tooling can mistake a temporally upscaled run for an exact one.
@@ -384,44 +390,56 @@ class ResultStore:
 
     def put_entry(self, entry: dict, replace: bool = True) -> bool:
         """Insert a pre-built entry dict (the writer behind :meth:`put`,
-        also the migration path).  With ``replace=False`` an existing
-        ``(key, git_rev)`` row is left untouched (idempotent re-import);
-        returns whether a row was written.
+        also the migration path): :meth:`put_entries` with one entry.
+        Returns whether a row was written."""
+        return self.put_entries([entry], replace=replace)[0]
 
-        Alongside the result row, every numeric leaf of the result
+    def put_entries(self, entries: Sequence[dict],
+                    replace: bool = True) -> list[bool]:
+        """Insert pre-built entry dicts, all in one transaction; returns,
+        per entry, whether a row was written.  With ``replace=False`` an
+        existing ``(key, git_rev)`` row is left untouched (idempotent
+        re-import).
+
+        Alongside each result row, every numeric leaf of the result
         payload is flattened (:func:`numeric_metrics` — the same dotted
         names ``results diff`` compares) into the indexed ``metrics``
         table in the same transaction, so fleet-scale cohort queries run
-        as pure SQL without ever unpickling a payload.
+        as pure SQL without ever unpickling a payload.  One commit for N
+        entries is what lets the queue server record a worker's whole
+        batch for the cost of one journal write.
         """
         conflict = "REPLACE" if replace else "IGNORE"
-        key = entry.get("key")
-        git_rev = entry.get("git_rev", "unknown")
         conn = self.connection()
+        written: list[bool] = []
         conn.execute("BEGIN IMMEDIATE")
         try:
-            cursor = conn.execute(
-                f"INSERT OR {conflict} INTO results (key, git_rev, schema, "
-                "kind, duration, scenario_json, scenario_hash, runtime_s, "
-                "cost_units, created_at, entry) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, git_rev,
-                 entry.get("schema"), entry.get("kind"), entry.get("duration"),
-                 json.dumps(entry.get("scenario", {}), sort_keys=True,
-                            default=list),
-                 entry.get("scenario_hash", ""), entry.get("runtime_s"),
-                 entry.get("cost_units"), time.time(),
-                 pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
-            written = cursor.rowcount > 0
-            if written:
-                conn.execute(
-                    "DELETE FROM metrics WHERE key = ? AND git_rev = ?",
-                    (key, git_rev))
-                conn.executemany(
-                    "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
-                    "value) VALUES (?, ?, ?, ?)",
-                    [(key, git_rev, name, value) for name, value
-                     in sorted(numeric_metrics(entry).items())])
+            for entry in entries:
+                key = entry.get("key")
+                git_rev = entry.get("git_rev", "unknown")
+                cursor = conn.execute(
+                    f"INSERT OR {conflict} INTO results (key, git_rev, "
+                    "schema, kind, duration, scenario_json, scenario_hash, "
+                    "runtime_s, cost_units, created_at, entry) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    (key, git_rev,
+                     entry.get("schema"), entry.get("kind"),
+                     entry.get("duration"),
+                     json.dumps(entry.get("scenario", {}), sort_keys=True,
+                                default=list),
+                     entry.get("scenario_hash", ""), entry.get("runtime_s"),
+                     entry.get("cost_units"), time.time(),
+                     pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)))
+                written.append(cursor.rowcount > 0)
+                if written[-1]:
+                    conn.execute(
+                        "DELETE FROM metrics WHERE key = ? AND git_rev = ?",
+                        (key, git_rev))
+                    conn.executemany(
+                        "INSERT OR REPLACE INTO metrics (key, git_rev, name, "
+                        "value) VALUES (?, ?, ?, ?)",
+                        [(key, git_rev, name, value) for name, value
+                         in sorted(numeric_metrics(entry).items())])
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")

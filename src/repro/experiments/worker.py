@@ -1,15 +1,17 @@
 """The standalone distributed-backend worker.
 
 A worker is deliberately dumb: it polls a :class:`~repro.experiments.
-queue.WorkQueue` for the highest-priority pending job, executes it with
-the same :func:`~repro.experiments.jobs.execute_job` the in-process
-backends use, writes the provenance-stamped result back through the
+queue.WorkQueue` for the next batch of pending jobs (one job on the
+directory transport; on the socket transport the server sizes the batch
+from its cost model), executes them with the same
+:func:`~repro.experiments.jobs.execute_job` the in-process backends use,
+reports the whole batch's provenance-stamped results back through the
 queue's SQLite :class:`~repro.experiments.store.ResultStore`
 (rollback-journal mode plus a busy timeout coordinate any number of
 workers writing the shared database, machines included — provided the
 filesystem's advisory locks work), and repeats.  All scheduling
-intelligence (cost-based
-packing, crash recovery, lease management) lives with the submitter.
+intelligence (cost-based packing, batch sizing, crash recovery, lease
+management) lives with the submitter and the queue server.
 
 Run one per core, on any machine that can see the queue directory —
 or, with the socket transport, any machine that can reach the server::
@@ -22,9 +24,10 @@ directory transport; on the socket transport the server refreshes the
 claim's lease and tracks the worker as alive) so an in-flight job
 outlives any fixed lease — and a worker that dies mid-job is noticed by
 its *silence* within the heartbeat timeout, not after the full lease.
-The heartbeat names exactly the keys the worker is executing, so a
-claim it never acknowledged (orphaned by a retried CLAIM) still ages
-out normally.
+The heartbeat names exactly the keys of the batch the worker holds
+(run or not, but not yet reported), so a claim it never acknowledged
+(orphaned by a retried CLAIM) still ages out normally, and a worker
+killed mid-batch has every claim of the batch requeued.
 
 :func:`run_worker` is the loop behind that entrypoint;
 :func:`spawn_worker` starts one as a local subprocess (what
@@ -59,8 +62,8 @@ DEFAULT_HEARTBEAT_S = 2.0
 class _HeartbeatPump:
     """A daemon thread beating ``queue.heartbeat(worker, keys)``.
 
-    ``keys`` is always the exact set of claims the worker is executing
-    right now — usually one, sometimes none (an empty list is still
+    ``keys`` is always the exact set of claims the worker holds right
+    now — its current batch, sometimes none (an empty list is still
     sent: it is a pure liveness ping that keeps the server from
     requeueing on the *next* claim's behalf).  Heartbeat failures are
     logged and swallowed; liveness is advisory, and the worker's real
@@ -108,12 +111,16 @@ def run_worker(queue: WorkQueue, *, worker_id: Optional[str] = None,
 
     Runs until ``max_jobs`` jobs have completed or the queue has stayed
     empty for ``idle_timeout_s`` seconds (forever when both are None —
-    the spawning suite owns the process and terminates it on close).  A
-    job that raises is recorded as a failure marker and the worker moves
-    on; the submitter decides what a failure means.
+    the spawning suite owns the process and terminates it on close).
+    Each round claims a batch (:meth:`~repro.experiments.queue.WorkQueue.
+    claim_many`, never more than ``max_jobs`` still allows), runs it in
+    order and reports its results together
+    (:meth:`~repro.experiments.queue.WorkQueue.complete_many`).  A job
+    that raises is recorded as a failure marker at once and the rest of
+    the batch runs on; the submitter decides what a failure means.
 
     With ``heartbeat_s`` the worker pings the queue that often, naming
-    the claim it is currently executing (see the module docstring).
+    the claims of the batch it holds (see the module docstring).
     """
     worker = worker_id or default_worker_id()
     pump = (_HeartbeatPump(queue, worker, heartbeat_s).start()
@@ -131,24 +138,35 @@ def run_worker(queue: WorkQueue, *, worker_id: Optional[str] = None,
     idle_since = time.monotonic()
     try:
         while max_jobs is None or executed < max_jobs:
-            claimed = queue.claim(worker)
-            if claimed is None:
+            batch = queue.claim_many(
+                worker, None if max_jobs is None else max_jobs - executed)
+            if not batch:
                 if idle_timeout_s is not None \
                         and time.monotonic() - idle_since >= idle_timeout_s:
                     break
                 time.sleep(poll_s)
                 continue
+            held = [claimed.key for claimed in batch]
             if pump is not None:
-                pump.set_keys([claimed.key])
+                pump.set_keys(held)
+            done = []
             try:
-                started = time.perf_counter()
-                result = execute_job(claimed.job)
-                runtime_s = time.perf_counter() - started
-            except Exception as error:
-                queue.fail(claimed, error)
-            else:
-                queue.complete(claimed, result, runtime_s=runtime_s)
-                executed += 1
+                for claimed in batch:
+                    try:
+                        started = time.perf_counter()
+                        result = execute_job(claimed.job)
+                        runtime_s = time.perf_counter() - started
+                    except Exception as error:
+                        # Recorded at once; the rest of the batch runs on.
+                        queue.fail(claimed, error)
+                        held.remove(claimed.key)
+                        if pump is not None:
+                            pump.set_keys(held)
+                    else:
+                        done.append((claimed, result, runtime_s))
+                if done:
+                    queue.complete_many(done)
+                    executed += len(done)
             finally:
                 if pump is not None:
                     pump.set_keys([])

@@ -8,7 +8,8 @@
   workers commit straight into the database, and for keys that are
   invalidated and resubmitted.
 * A socket drain costs at most two submitter requests per job, and no
-  RESULT request: the feed's replies carry the entries.
+  RESULT request: the feed's replies carry the entries; its workers'
+  batched CLAIM and COMPLETE frames together number fewer than its jobs.
 * A resubmission supersedes a failure marker left in a reused queue.
 """
 
@@ -286,7 +287,23 @@ def test_long_polls_under_concurrent_completions_miss_nothing(tmp_path, config):
     """More completing threads than cores, a tiny switch interval, and a
     submitter long-polling throughout: the polls together return every
     key exactly once, in strictly increasing cursor order."""
+    _long_poll_stress(tmp_path, config, batched=False)
+
+
+def test_long_polls_under_concurrent_batch_completions_miss_nothing(tmp_path, config):
+    """The same with server-sized batches: a calibrated cost model, and
+    workers that claim and complete several jobs per frame."""
+    _long_poll_stress(tmp_path, config, batched=True)
+
+
+def _long_poll_stress(tmp_path, config, batched: bool) -> None:
     jobs = _jobs(config, 40)
+    if batched:
+        [calibration] = _jobs(config, 1, start=len(jobs))
+        seeded = DirectoryQueue(tmp_path / "q")
+        seeded.submit(calibration)
+        seeded.complete(seeded.claim("calibration"), {"value": 1.0}, runtime_s=0.001)
+    batch_sizes = []
     with QueueServer(tmp_path / "q") as server:
         submitter = SocketQueue(server.address)
         head, _ = submitter.completed_since(None)
@@ -294,6 +311,10 @@ def test_long_polls_under_concurrent_completions_miss_nothing(tmp_path, config):
 
         def work(name: str) -> None:
             with SocketQueue(server.address) as queue:
+                if batched:
+                    while batch := queue.claim_many(name):
+                        batch_sizes.append(len(batch))
+                        queue.complete_many([(c, {"worker": name}, 0.001) for c in batch])
                 while (claimed := queue.claim(name)) is not None:
                     queue.complete(claimed, {"worker": name})
 
@@ -316,6 +337,7 @@ def test_long_polls_under_concurrent_completions_miss_nothing(tmp_path, config):
         finally:
             sys.setswitchinterval(interval)
         assert sorted(seen) == sorted(job.key() for job in jobs)
+        assert not batched or max(batch_sizes) > 1
         submitter.close()
 
 
@@ -419,10 +441,13 @@ def test_socket_drain_sees_results_directory_workers_commit(tmp_path, config):
 def test_socket_drain_costs_at_most_two_submitter_requests_per_job(tmp_path, monkeypatch):
     jobs = fleet.population_jobs(TINY_SPEC, 40, seed=3)
     frames: collections.Counter = collections.Counter()
+    completed: list[str] = []
     dispatch = QueueServer._dispatch
 
     def counting_dispatch(self, kind, payload):
         frames[kind] += 1
+        if kind is MessageType.COMPLETE:
+            completed.extend(done["key"] for done in payload.get("results") or [payload])
         return dispatch(self, kind, payload)
 
     monkeypatch.setattr(QueueServer, "_dispatch", counting_dispatch)
@@ -431,7 +456,9 @@ def test_socket_drain_costs_at_most_two_submitter_requests_per_job(tmp_path, mon
     ) as suite:
         suite.run(jobs)
     submitter = sum(count for kind, count in frames.items() if kind not in WORKER_FRAMES)
-    assert frames[MessageType.COMPLETE] == len(jobs)
+    assert len(completed) == len(jobs)
+    # Batched claims and completions: fewer worker round trips than jobs.
+    assert frames[MessageType.CLAIM] + frames[MessageType.COMPLETE] < len(jobs), dict(frames)
     assert submitter <= 2 * len(jobs), dict(frames)
     # The feed replies carry the entries: no per-job RESULT request.
     assert frames[MessageType.RESULT] == 0
