@@ -20,7 +20,8 @@ left them, so
 Four things are layered on top of the directory protocol:
 
 **Worker liveness.**  Workers heartbeat (:class:`MessageType.HEARTBEAT`)
-every couple of seconds, naming the claims they are actually executing.
+every couple of seconds, naming the claims they actually hold (a whole
+batch, run or not, until it is reported).
 A heartbeat refreshes those claims' lease clocks, so an in-flight job
 outlives any fixed lease while its worker is alive; a worker that
 misses heartbeats for ``heartbeat_timeout_s`` has **all** its claims
@@ -373,6 +374,8 @@ class QueueServer:
         """
         if self._pending_dirty or not self._pending:
             self._refresh_pending()
+            if not self._pending:
+                return []
         model = self._calibration.model()
         calibrated = bool(model.rates)
         cap = math.ceil(len(self._pending) / (2 * max(1, len(self._workers))))
