@@ -37,6 +37,7 @@ __all__ = ["AGENT_FACTORIES", "Placement", "SCENARIO_SCHEMA_VERSION",
 #: executor caches) changes, so stale provenance is always detectable.
 SCENARIO_SCHEMA_VERSION = 2
 
+
 def canonical_hash(payload) -> str:
     """SHA-256 of ``payload``'s canonical JSON (sorted keys, no spaces):
     the one formula behind every content hash and job key."""
